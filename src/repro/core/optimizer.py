@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.analysis.rng import RngFactory
 from repro.batching import batched_cold_path_enabled
@@ -63,6 +64,20 @@ from repro.power.optable import (
 )
 from repro.workloads.generators import micro
 from repro.workloads.trace import Trace
+
+
+@cache
+def _calibration_loads() -> tuple[Trace, tuple[Trace, Trace]]:
+    """The offline calibration's micro traces, built once per process.
+
+    ``Trace`` is frozen, and keeping one object per load lets every
+    optimizer reuse its compiled lowering instead of re-lowering fresh
+    copies on each calibration.
+    """
+    return micro.mixed_calibration_load(repeats=20), (
+        micro.matmul_loop(repeats=40),
+        micro.gelu_loop(repeats=40),
+    )
 
 
 class ProfilingBundle:
@@ -198,11 +213,7 @@ class EnergyOptimizer:
     def calibrate(self) -> CalibrationConstants:
         """Run (or reuse) the offline Fig. 11 calibration for this device."""
         if self._calibration is None:
-            test_load = micro.mixed_calibration_load(repeats=20)
-            k_loads = [
-                micro.matmul_loop(repeats=40),
-                micro.gelu_loop(repeats=40),
-            ]
+            test_load, k_loads = _calibration_loads()
             self._calibration = run_offline_calibration(
                 self._device, self._telemetry, test_load, k_loads
             )

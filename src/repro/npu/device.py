@@ -23,6 +23,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.npu.execution import GroundTruthEvaluator, OperatorEvaluation
 from repro.npu.setfreq import AnchoredFrequencyPlan, FrequencyTimeline
@@ -312,6 +314,72 @@ class NpuDevice:
         self._npu.frequencies.validate(freq_mhz)
         thermal = ThermalState(self._npu.thermal, initial_celsius)
         step_us = duration_us / steps
+        if type(self._evaluator) is not GroundTruthEvaluator:
+            return self._run_idle_reference(freq_mhz, thermal, step_us, steps)
+        # The loop below inlines GroundTruthEvaluator.idle_aicore_power /
+        # idle_soc_power and ThermalState.advance with the loop-invariant
+        # volts, power and decay terms hoisted out; every remaining float
+        # operation keeps the reference order, so chunks match bit for bit.
+        npu = self._evaluator.npu
+        volts = npu.volts_at(freq_mhz)
+        power = npu.power
+        idle_ai = power.aicore_idle_power(freq_mhz, volts)
+        coupled = power.coupled_power(freq_mhz, volts)
+        uncore_base = (
+            power.uncore_idle_watts + power.uncore_bandwidth_watts * 0.0
+        )
+        gamma_ai = power.gamma_aicore_w_per_c_v
+        gamma_unc = power.gamma_uncore_w_per_c_v
+        uncore_volts = power.uncore_volts
+        spec = self._npu.thermal
+        ambient = spec.ambient_celsius
+        decay = float(np.exp(-step_us / spec.time_constant_us))
+        celsius = thermal.celsius
+        # Installing each frozen chunk's instance dict directly skips the
+        # per-field object.__setattr__ of its __init__; the chunks are
+        # identical (==, hash, pickle).
+        new_chunk = PowerChunk.__new__
+        set_dict = object.__setattr__
+        chunks: list[PowerChunk] = []
+        clock = 0.0
+        for _ in range(steps):
+            delta = celsius - ambient
+            aicore_w = idle_ai + gamma_ai * delta * volts
+            soc_w = (aicore_w + coupled) + (
+                uncore_base + gamma_unc * delta * uncore_volts
+            )
+            chunk = new_chunk(PowerChunk)
+            set_dict(
+                chunk,
+                "__dict__",
+                {
+                    "start_us": clock,
+                    "end_us": clock + step_us,
+                    "freq_mhz": freq_mhz,
+                    "aicore_watts": aicore_w,
+                    "soc_watts": soc_w,
+                    "celsius": celsius,
+                    "op_index": IDLE_INDEX,
+                },
+            )
+            chunks.append(chunk)
+            target = spec.equilibrium_celsius(soc_w)
+            celsius = target + (celsius - target) * decay
+            clock += step_us
+        return chunks
+
+    def _run_idle_reference(
+        self,
+        freq_mhz: float,
+        thermal: ThermalState,
+        step_us: float,
+        steps: int,
+    ) -> list[PowerChunk]:
+        """The per-step evaluator loop behind :meth:`run_idle`.
+
+        Wrapped evaluators take this path; it is also the oracle the
+        hoisted loop is tested against.
+        """
         chunks: list[PowerChunk] = []
         clock = 0.0
         for _ in range(steps):

@@ -44,7 +44,7 @@ import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,8 +54,10 @@ from repro.npu.device import (
     OperatorRecord,
     PowerChunk,
 )
+from repro.npu.execution import GroundTruthEvaluator
 from repro.npu.setfreq import AnchoredFrequencyPlan, FrequencyTimeline
 from repro.npu.spec import NpuSpec
+from repro.npu.vectoreval import evaluate_unique_grid
 from repro.units import US_PER_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,10 +79,29 @@ _COMPILED_CACHE_LIMIT = 64
 #: recompilation — and the unique-grid evaluation cached on it — from the
 #: cold path.  Keyed by ``(id(trace), repr(spec))`` with a weakref guard
 #: against id reuse; ``repr`` covers every spec field recursively, so
-#: equal keys imply equal lowering output bit for bit.
+#: equal keys imply equal lowering output bit for bit.  Entries hold their
+#: trace weakly and drop out when it is collected.
 _SHARED_COMPILED: dict[tuple[int, str], tuple] = {}
 
 _FAST_PATH_ENABLED = True
+
+
+def _shared_dropper(key: tuple[int, str]) -> Callable[[weakref.ref], None]:
+    """Weakref callback removing ``key``'s shared entry once its trace dies.
+
+    The identity check keeps a callback from removing a newer entry that
+    was stored under the same key.  The cache is bound in the closure, so
+    callbacks that fire during interpreter shutdown, after module globals
+    are cleared, still find it.
+    """
+    cache = _SHARED_COMPILED
+
+    def drop(ref: weakref.ref) -> None:
+        entry = cache.get(key)
+        if entry is not None and entry[0] is ref:
+            cache.pop(key, None)
+
+    return drop
 
 
 def fast_path_enabled() -> bool:
@@ -221,15 +242,18 @@ class CompiledTrace:
 
     Construction walks the trace once to collect host-gap arrays and the
     distinct operator characters (the evaluator's own memoisation key);
-    frequency columns are then built lazily, one evaluator call per
-    distinct character per frequency, and reused across every subsequent
-    run of the same trace on the same device.
+    frequency columns are then built lazily, every missing frequency of a
+    run in one vectorised pass over the distinct characters, and reused
+    across every subsequent run of the same trace on the same device.
     """
 
     def __init__(self, trace: "Trace", evaluator) -> None:
-        self._trace = trace
+        # Only a weak reference to the trace itself: the process-wide
+        # cache must not keep dead traces (and their tables) alive.
+        self._trace_ref = weakref.ref(trace)
+        self._entries = entries = trace.entries
+        self.name = trace.name
         self._evaluator = evaluator
-        entries = trace.entries
         n = len(entries)
         self.n_ops = n
         self.gap = np.array([e.gap_before_us for e in entries], dtype=float)
@@ -258,9 +282,9 @@ class CompiledTrace:
         self._grids: dict[tuple[float, ...], object] = {}
 
     @property
-    def trace(self) -> "Trace":
-        """The lowered trace."""
-        return self._trace
+    def trace(self) -> "Trace | None":
+        """The lowered trace, or ``None`` once it has been collected."""
+        return self._trace_ref()
 
     @property
     def unique_operator_count(self) -> int:
@@ -285,26 +309,30 @@ class CompiledTrace:
     def evaluation_for(self, op_index: int, freq_mhz: float):
         """The (memoised) ground-truth evaluation backing a record."""
         return self._evaluator.evaluate(
-            self._trace.entries[op_index].spec, freq_mhz
+            self._entries[op_index].spec, freq_mhz
         )
 
     def unique_grid(self, freqs_mhz: Sequence[float]):
         """Vectorised unique-spec evaluation over a whole frequency grid.
 
         Returns a :class:`repro.npu.vectoreval.UniqueSpecGrid` and installs
-        any missing per-frequency columns from it (bit-identical to the
-        scalar :meth:`column` build, which stays as the reference path).
+        any missing per-frequency columns from it (bit-identical to
+        :meth:`scalar_column`, which stays as the reference path).
         Grids are cached per frequency tuple — the evaluation is a pure
         function of (specs, grid), and repeated cold passes over the same
         sweep (the serving miss path) ask for the same grid every time.
         """
-        from repro.npu.vectoreval import evaluate_unique_grid
-
         grid_key = tuple(float(f) for f in freqs_mhz)
         cached = self._grids.get(grid_key)
         if cached is not None:
             return cached
         grid = evaluate_unique_grid(self._evaluator, self._uniq_specs, freqs_mhz)
+        self._install_columns(grid)
+        self._grids[grid_key] = grid
+        return grid
+
+    def _install_columns(self, grid) -> None:
+        """Install the grid's columns this trace does not have yet."""
         idx = self._uniq_idx
         for j, freq in enumerate(grid.freqs_mhz):
             if freq in self._columns:
@@ -321,24 +349,47 @@ class CompiledTrace:
                 idle_s0=float(grid.idle_s0[j]),
                 idle_gs=float(grid.idle_gs[j]),
             )
-        self._grids[grid_key] = grid
-        return grid
 
-    def prime_columns(self, freqs_mhz: Sequence[float]) -> None:
-        """Batch-build any missing frequency columns in one pass."""
+    def prime_columns(self, freqs_mhz: Iterable[float]) -> None:
+        """Build every missing frequency column, in one pass if possible.
+
+        A plain :class:`GroundTruthEvaluator` gets all of them from one
+        vectorised :func:`evaluate_unique_grid` pass; only the columns
+        are kept, not the grid.  Wrapped evaluators (the cluster's
+        per-device scaling) have no grid kernel and take
+        :meth:`scalar_column` one frequency at a time.
+        """
         missing = [
             f
             for f in dict.fromkeys(float(f) for f in freqs_mhz)
             if f not in self._columns
         ]
-        if missing:
-            self.unique_grid(missing)
+        if not missing:
+            return
+        if type(self._evaluator) is GroundTruthEvaluator:
+            self._install_columns(
+                evaluate_unique_grid(
+                    self._evaluator, self._uniq_specs, missing
+                )
+            )
+        else:
+            for freq in missing:
+                self._columns[freq] = self.scalar_column(freq)
 
     def column(self, freq_mhz: float) -> _FreqColumn:
         """The per-operator tables at one frequency (built on first use)."""
         col = self._columns.get(freq_mhz)
-        if col is not None:
-            return col
+        if col is None:
+            self.prime_columns((freq_mhz,))
+            col = self._columns[float(freq_mhz)]
+        return col
+
+    def scalar_column(self, freq_mhz: float) -> _FreqColumn:
+        """One column from per-spec evaluator calls, without caching it.
+
+        This is the build for wrapped evaluators and the oracle the
+        grid-built columns are tested against bit for bit.
+        """
         ev = self._evaluator
         m = len(self._uniq_specs)
         dur_u = np.empty(m)
@@ -358,7 +409,7 @@ class CompiledTrace:
         idle_a_cold = ev.idle_aicore_power(freq_mhz, 0.0)
         idle_s_cold = ev.idle_soc_power(freq_mhz, 0.0)
         idx = self._uniq_idx
-        col = _FreqColumn(
+        return _FreqColumn(
             freq_mhz=freq_mhz,
             dur=dur_u[idx],
             a0=a0_u[idx],
@@ -370,8 +421,6 @@ class CompiledTrace:
             idle_s0=idle_s_cold,
             idle_gs=ev.idle_soc_power(freq_mhz, 1.0) - idle_s_cold,
         )
-        self._columns[freq_mhz] = col
-        return col
 
     def const_solution(
         self, freq_mhz: float, k: float, tau: float
@@ -929,19 +978,17 @@ class TraceEngine:
                     return compiled
         compiled = CompiledTrace(trace, self._evaluator)
         self.stats.compiled_traces += 1
-        self._compiled[key] = (weakref.ref(trace), compiled)
-        if shared_key is not None:
-            if len(_SHARED_COMPILED) >= _COMPILED_CACHE_LIMIT:
-                stale = [
-                    k
-                    for k, (ref, _) in _SHARED_COMPILED.items()
-                    if ref() is None
-                ]
-                for k in stale:
-                    del _SHARED_COMPILED[k]
-                while len(_SHARED_COMPILED) >= _COMPILED_CACHE_LIMIT:
-                    _SHARED_COMPILED.pop(next(iter(_SHARED_COMPILED)))
-            _SHARED_COMPILED[shared_key] = self._compiled[key]
+        if shared_key is None:
+            self._compiled[key] = (weakref.ref(trace), compiled)
+            return compiled
+        ref = weakref.ref(trace, _shared_dropper(shared_key))
+        self._compiled[key] = (ref, compiled)
+        # Dead traces drop their own entries; this bounds the live ones.
+        excess = len(_SHARED_COMPILED) + 1 - _COMPILED_CACHE_LIMIT
+        if excess > 0:
+            for k in list(_SHARED_COMPILED)[:excess]:
+                _SHARED_COMPILED.pop(k, None)
+        _SHARED_COMPILED[shared_key] = (ref, compiled)
         return compiled
 
     def _spec_key(self) -> str | None:
@@ -958,8 +1005,6 @@ class TraceEngine:
         """
         spec_key = self._spec_repr
         if spec_key is None:
-            from repro.npu.execution import GroundTruthEvaluator
-
             if type(self._evaluator) is not GroundTruthEvaluator:
                 spec_key = ""
             else:
@@ -1018,7 +1063,7 @@ class TraceEngine:
             )
 
         return ExecutionResult(
-            trace_name=compiled.trace.name,
+            trace_name=compiled.name,
             duration_us=sol.duration,
             aicore_energy_j=sol.e0_aicore + sol.e1_aicore * delta0,
             soc_energy_j=sol.e0_soc + sol.e1_soc * delta0,
@@ -1040,6 +1085,7 @@ class TraceEngine:
         fop = np.asarray(op_freqs, dtype=float)
         fgap = np.asarray(gap_freqs, dtype=float)
         distinct = set(fop.tolist()) | set(fgap.tolist())
+        compiled.prime_columns(distinct)
         cols = {f: compiled.column(f) for f in distinct}
         if len(cols) == 1:
             col = next(iter(cols.values()))
@@ -1100,7 +1146,7 @@ class TraceEngine:
         op_sj = (csw[pos_op] * cdt[pos_op]) / US_PER_S
         records = _RecordArrays(compiled, start, end, fop, fop, op_aj, op_sj)
         return ExecutionResult(
-            trace_name=compiled.trace.name,
+            trace_name=compiled.name,
             duration_us=float(end[-1]),
             aicore_energy_j=aicore_j,
             soc_energy_j=soc_j,
@@ -1128,6 +1174,7 @@ class TraceEngine:
         freqs_after = [s.freq_mhz for s in switches]
         n_switches = len(times)
         distinct = {timeline.initial_mhz, *freqs_after}
+        compiled.prime_columns(distinct)
         tables = {}
         for f in distinct:
             col = compiled.column(f)
@@ -1249,7 +1296,7 @@ class TraceEngine:
             compiled, r_start, r_end, r_f0, r_f1, r_aj, r_sj
         )
         return ExecutionResult(
-            trace_name=compiled.trace.name,
+            trace_name=compiled.name,
             duration_us=clock,
             aicore_energy_j=aicore_energy,
             soc_energy_j=soc_energy,

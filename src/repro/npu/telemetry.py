@@ -61,7 +61,8 @@ class PowerTelemetry:
         if interval_us <= 0:
             raise ProfilingError(f"interval must be positive: {interval_us}")
         noise = self._npu.noise
-        samples: list[PowerSample] = []
+        times: list[float] = []
+        sources: list[PowerChunk] = []
         chunk_iter = iter(chunks)
         current = next(chunk_iter)
         t = chunks[0].start_us
@@ -69,22 +70,44 @@ class PowerTelemetry:
         while t < end:
             while current.end_us <= t:
                 current = next(chunk_iter)
-            samples.append(
-                PowerSample(
-                    time_us=t,
-                    soc_watts=self._noisy(current.soc_watts, noise.power_sigma),
-                    aicore_watts=self._noisy(
-                        current.aicore_watts, noise.power_sigma
-                    ),
-                    celsius=current.celsius
-                    + (
-                        self._rng.normal(0.0, noise.temperature_sigma_celsius)
-                        if noise.temperature_sigma_celsius > 0
-                        else 0.0
-                    ),
-                )
-            )
+            times.append(t)
+            sources.append(current)
             t += interval_us
+        # One draw replaces the per-sample scalar normals: the stream is
+        # consumed in the same (soc, aicore, celsius) order, skipping the
+        # terms whose sigma is zero, so values and the final generator
+        # state match the scalar loop exactly.
+        power_on = noise.power_sigma > 0
+        celsius_on = noise.temperature_sigma_celsius > 0
+        sigmas = [noise.power_sigma] * (2 * power_on) + [
+            noise.temperature_sigma_celsius
+        ] * celsius_on
+        n = len(times)
+        draws = self._rng.normal(0.0, np.tile(sigmas, n)).reshape(
+            n, len(sigmas)
+        )
+        soc = np.array([c.soc_watts for c in sources])
+        aicore = np.array([c.aicore_watts for c in sources])
+        celsius = np.array([c.celsius for c in sources])
+        if power_on:
+            soc = soc * np.maximum(0.5, 1.0 + draws[:, 0])
+            aicore = aicore * np.maximum(0.5, 1.0 + draws[:, 1])
+        celsius = celsius + (draws[:, -1] if celsius_on else 0.0)
+        # Frozen-dataclass __init__ pays object.__setattr__ per field;
+        # installing the instance dict directly builds identical samples.
+        new_sample = PowerSample.__new__
+        set_dict = object.__setattr__
+        samples: list[PowerSample] = []
+        for t, s, a, c in zip(
+            times, soc.tolist(), aicore.tolist(), celsius.tolist()
+        ):
+            sample = new_sample(PowerSample)
+            set_dict(
+                sample,
+                "__dict__",
+                {"time_us": t, "soc_watts": s, "aicore_watts": a, "celsius": c},
+            )
+            samples.append(sample)
         return samples
 
     def measure(self, result: ExecutionResult) -> PowerMeasurement:

@@ -122,7 +122,10 @@ def _transfer_cycles_grid(
         c_col = np.broadcast_to(c[:, None], x.shape)
         hi = np.maximum(x, c_col)
         lo = np.minimum(x, c_col)
-        ratio = lo / hi
+        # The scalar smooth_max returns max(x, y) when either is zero.  A
+        # zero ``lo`` already gives ``hi * 1.0`` here, but a volume so
+        # small that both terms underflow to zero would be 0/0.
+        ratio = np.where(hi > 0.0, lo / hi, 0.0)
     # NumPy's vectorised float64 pow (SIMD) rounds differently from the
     # libm pow behind Python's float ** that the scalar smooth_max uses —
     # off by 1 ulp on a few permille of inputs.  Bit-identity demands the

@@ -293,14 +293,18 @@ class StrategyService:
         try:
             result = optimize_job(fingerprint, trace, self.config)
             future.set_result(result)
+            strategy = DvfsStrategy.from_json(result.strategy_json)
+            self._commit(result, strategy)
         except BaseException as exc:
-            future.set_exception(exc)
+            if not future.done():
+                future.set_exception(exc)
             raise
         finally:
+            # Leave in-flight only once the store holds the result: a
+            # request arriving in between would otherwise miss both and
+            # run the GA again.
             with self._lock:
                 self._inflight.pop(fingerprint, None)
-        strategy = DvfsStrategy.from_json(result.strategy_json)
-        self._commit(result, strategy)
         return self._finish(fingerprint, strategy, "computed", start)
 
     def serve_batch(self, traces: list[Trace]) -> list[ServeResult]:
