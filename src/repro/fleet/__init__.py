@@ -14,15 +14,17 @@ vectorized passes.
   ring + inter-rack tree, with flat-ring algorithm selection;
 * :mod:`repro.fleet.churn` — seeded join/leave/fail dynamics with
   replay-identical histories and deterministic re-sharding;
-* :mod:`repro.fleet.simulator` — the vectorized barrier step,
-  equivalence-tested (<= 1e-9) against the looped
+* :mod:`repro.fleet.simulator` — the fleet engine and its one
+  barrier-step kernel (epoch-cached steps and slack reclamation over a
+  ``[lo, hi)`` slice of the fleet), run in process over the whole
+  fleet and equivalence-tested (<= 1e-9) against the looped
   :class:`~repro.cluster.simulator.SimulatedCluster` at small N;
-* :mod:`repro.fleet.dvfs` — array-pass slack reclamation producing
-  byte-identical per-device constant strategies;
-* :mod:`repro.fleet.sharded` — the same fleet partitioned into
-  contiguous device shards pinned to persistent worker processes over
-  one shared-memory segment, byte-identical to the single-process
-  engine (``--workers`` on the CLI) and the path to 100k devices.
+* :mod:`repro.fleet.dvfs` — slack reclamation through the engine,
+  producing byte-identical per-device constant strategies;
+* :mod:`repro.fleet.sharded` — the same engine with its kernel run
+  over contiguous device shards in persistent worker processes sharing
+  one memory segment (``--workers`` on the CLI), bitwise identical to
+  the in-process engine and the path to 100k devices.
 
 Run ``python -m repro.fleet run`` for a demo and
 ``python -m repro.fleet bench`` for the scaling benchmark
@@ -40,7 +42,6 @@ from repro.fleet.sharded import (
     ShardedFleetSimulator,
     make_fleet_simulator,
     shard_bounds,
-    simulator_workers,
 )
 from repro.fleet.simulator import (
     FleetPlan,
@@ -70,6 +71,5 @@ __all__ = [
     "plan_strategy_json",
     "reclaim_fleet_slack",
     "shard_bounds",
-    "simulator_workers",
     "straggler_summary",
 ]

@@ -1,9 +1,10 @@
 """Vectorized slack reclamation and delta0 re-targeting for the fleet.
 
 The cluster layer's :func:`repro.cluster.dvfs.reclaim_slack` walks
-per-device Python tables; at fleet scale the same policy is three array
-passes over the ``(capacity, F)`` duration table of
-:meth:`repro.fleet.simulator.FleetSimulator.duration_table`:
+per-device Python tables; at fleet scale the same policy is two
+barrier-step kernel passes (:meth:`FleetSimulator.reclaim
+<repro.fleet.simulator.FleetSimulator.reclaim>`) over the
+``(capacity, F)`` duration table, which each simulator computes once:
 
 1. the barrier target is the straggler's maximum-frequency arrival
    (optionally stretched by ``slack_margin``);
@@ -32,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from repro.dvfs.strategy import DvfsStrategy, constant_strategy
-from repro.errors import ConfigurationError, StrategyError
 from repro.fleet.simulator import FleetPlan, FleetSimulator
 
 
@@ -41,8 +41,10 @@ def reclaim_fleet_slack(
 ) -> FleetPlan:
     """Downclock every non-critical active device to just-in-time arrival.
 
-    One vectorized pass over the duration table; semantics (and bytes)
-    of :func:`repro.cluster.dvfs.reclaim_slack` at any fleet size.
+    The engine's reclaim (:meth:`FleetSimulator.reclaim`): two kernel
+    passes over the duration table, semantics (and bytes) of
+    :func:`repro.cluster.dvfs.reclaim_slack` at any fleet size and any
+    worker count.
 
     Raises:
         ConfigurationError: on a negative ``slack_margin``.
@@ -51,53 +53,7 @@ def reclaim_fleet_slack(
             externally-supplied target; the self-derived target is
             always feasible).
     """
-    if slack_margin < 0:
-        raise ConfigurationError(
-            f"slack_margin must be non-negative: {slack_margin}"
-        )
-    # Sharded engines reclaim with per-shard passes and an ordered
-    # merge; the assembled plan is byte-identical to the table pass
-    # below (pinned by tests/test_fleet_sharded.py).
-    sharded = getattr(sim, "reclaim_sharded", None)
-    if sharded is not None:
-        return sharded(slack_margin)
-    freqs = sim.spec.npu.frequencies.points
-    table = sim.duration_table()
-    act = sim.active_ids
-    if act.size == 0:
-        raise ConfigurationError("reclaim needs at least one active device")
-    arrivals = table[act, -1]
-    straggler_id = int(act[int(np.argmax(arrivals))])
-    target = float(arrivals.max()) * (1.0 + slack_margin)
-
-    meets = table[act] <= target
-    feasible = meets.any(axis=1)
-    if not feasible.all():
-        device = int(act[int(np.argmax(~feasible))])
-        raise StrategyError(
-            f"device {device} cannot reach the barrier at "
-            f"{target:.0f} us even at {freqs[-1]:.0f} MHz"
-        )
-    chosen = np.argmax(meets, axis=1)
-
-    capacity = sim.spec.capacity
-    freq_index = np.full(capacity, len(freqs) - 1, dtype=np.intp)
-    freq_index[act] = chosen
-    grid = np.asarray(freqs, dtype=float)
-    freq_mhz = grid[freq_index]
-    predicted = table[np.arange(capacity), freq_index]
-    covered = np.zeros(capacity, dtype=bool)
-    covered[act] = True
-    return FleetPlan(
-        workload=sim.trace.name,
-        target_compute_us=target,
-        straggler_id=straggler_id,
-        freqs_mhz=tuple(float(f) for f in freqs),
-        freq_index=freq_index,
-        freq_mhz=freq_mhz,
-        predicted_us=predicted,
-        covered=covered,
-    )
+    return sim.reclaim(slack_margin)
 
 
 def plan_strategies(plan: FleetPlan) -> tuple[DvfsStrategy, ...]:

@@ -1,43 +1,21 @@
 """Sharded multi-process fleet engine: 100k devices over worker shards.
 
-:class:`~repro.fleet.simulator.FleetSimulator` runs the whole fleet as
-``(devices,)`` array passes in one Python process — fast, but bounded
-by one core.  This module partitions the stacked fleet arrays into
-contiguous device shards and pins each shard to a persistent worker
-process:
+:class:`~repro.fleet.simulator.FleetSimulator` runs the barrier-step
+kernel over the whole fleet in one process.  This module runs the same
+kernel over contiguous device shards, each pinned to a persistent worker
+process, and adds only what sharding needs:
 
-* **Shared-memory data plane.**  Every capacity-sized array the barrier
-  step touches — the per-frequency
-  :class:`~repro.npu.engine.ConstAffineBatch` stacks, board ambients,
-  the thermal state, the active membership, the plan assignment and the
-  per-step outputs — lives in one ``multiprocessing.shared_memory``
-  segment.  Workers attach **once** at startup (the
-  :mod:`repro.serve.hotmem` pattern) and every later command moves zero
-  array bytes through pickles: the control frames are fixed 52-byte
-  structs.
-* **Shard-then-reduce steps.**  A step is parallel per-shard passes
-  over ``[lo, hi)`` slices of the packed active order, plus the
-  O(workers) reductions the barrier actually needs: per-shard max
-  arrival (the barrier), the straggler candidate, and per-shard
-  infeasibility during reclamation.  Reductions merge in shard order,
-  so ties resolve exactly like the single-process ``argmax``.
-* **Epoch caching.**  Arrivals, gathered energy coefficients and the
-  barrier-wait idle integration depend only on (membership, plan,
-  target) — an *epoch* — not on the evolving thermal state.  Workers
-  rebuild their shard's coefficients once per epoch and a warm step
-  collapses to a handful of affine passes in ``delta0``; consecutive
-  churn-free steps batch into one command round-trip.
-* **Determinism discipline.**  Shard boundaries are the fixed
-  contiguous partition of the packed active order; churn stays on the
-  master with the exact per-step seeded streams of
-  :mod:`repro.fleet.churn`, so replays are identical at any worker
-  count.  Durations, reclaimed strategies, straggler selection and
-  churn histories are *bitwise* equal to the single-process engine;
-  idle energies and temperatures agree to rounding (~1e-15, the same
-  class of difference the fleet already carries vs the looped cluster)
-  because the 8-substep idle integration is collapsed to its exact
-  per-epoch affine form.  :func:`repro.fleet.reference.compare_with_sharded`
-  is the harness that pins all of this.
+* **Shared-memory buffer.**  The kernel's arrays (``_Layout``) live in
+  one ``multiprocessing.shared_memory`` segment.  Workers attach
+  **once** at startup (the :mod:`repro.serve.hotmem` pattern) and every
+  later command moves zero array bytes through pickles: the control
+  frames are fixed 32-byte commands and 20-byte replies.
+* **Shard dispatch.**  Every kernel call is sent to all workers; worker
+  ``i`` runs it over its fixed slice ``shard_bounds(n, workers, i)`` of
+  the packed active order, and the engine merges the per-shard replies
+  in shard order exactly as it merges its single in-process slice.  The
+  epoch bookkeeping, churn, plan publication and reductions are the
+  base engine's, so results are bitwise identical at any worker count.
 * **Failure model.**  A dead or hung worker raises a typed
   :class:`~repro.errors.FleetWorkerError` (never a hang): the engine
   marks itself broken, terminates the survivors, and no step result or
@@ -50,107 +28,24 @@ from __future__ import annotations
 import struct
 import time
 from multiprocessing import get_context, get_all_start_methods, shared_memory
-from typing import Callable, Sequence
 
-import numpy as np
-
-from repro.cluster.simulator import BARRIER_OVERRUN_TOLERANCE
-from repro.errors import ConfigurationError, FleetWorkerError, StrategyError
-from repro.fleet.churn import FleetEvent
+from repro.errors import ConfigurationError, FleetWorkerError
 from repro.fleet.simulator import (
-    DEFAULT_TOP_K,
-    IDLE_INTEGRATION_STEPS,
-    FleetPlan,
+    DEFAULT_MAX_BATCH,
+    KERNEL,
     FleetSimulator,
-    FleetStepResult,
-    descending_top_k,
+    _Layout,
 )
 from repro.fleet.spec import FleetSpec
-from repro.units import US_PER_S
 from repro.workloads.trace import Trace
 
-#: Consecutive churn-free steps executed per worker command round-trip.
-DEFAULT_MAX_BATCH = 8
-
-#: Fixed control frame: an op code plus six float64 operands (commands)
-#: or a status plus six float64 results (replies).  Everything bulky
-#: stays in shared memory.
-_FRAME = struct.Struct("<i6d")
-
-_OP_SHUTDOWN = 0
-_OP_EPOCH_ARRIVALS = 1
-_OP_EPOCH_COEFFS = 2
-_OP_STEPS = 3
-_OP_RECLAIM_TARGET = 4
-_OP_RECLAIM_CHOOSE = 5
-
-_MEMBERSHIP_KINDS = ("join", "leave", "fail")
-
-#: "No plan published yet" sentinel (``None`` is a real state: baseline).
-_NO_PLAN = object()
-
-
-class _Layout:
-    """Offsets of every array in the shared segment.
-
-    Computed identically on both sides from ``(capacity, F, K)`` so the
-    worker can rebuild its views from three integers.
-    """
-
-    def __init__(self, capacity: int, n_freqs: int, max_batch: int) -> None:
-        self.capacity = capacity
-        self.n_freqs = n_freqs
-        self.max_batch = max_batch
-        cursor = 0
-
-        def f8(count: int) -> int:
-            nonlocal cursor
-            offset = cursor
-            cursor += 8 * count
-            return offset
-
-        self.ambient = f8(capacity)
-        self.celsius = f8(capacity)
-        self.act_ids = f8(capacity)  # int64
-        self.plan_freq = f8(capacity)
-        self.plan_covered = f8(capacity)  # 0.0 / 1.0
-        self.arrival = f8(capacity)
-        self.wait = f8(capacity)
-        self.freqs = f8(capacity)
-        self.reclaim_idx = f8(capacity)  # int64
-        self.reclaim_pred = f8(capacity)
-        self.sol_ready = f8(n_freqs)  # int64
-        self.sol_scalars = f8(n_freqs * 4)
-        self.solutions = f8(n_freqs * 7 * capacity)
-        self.outputs = f8(max_batch * 5 * capacity)
-        self.total_bytes = cursor
-
-    def views(self, buf) -> dict[str, np.ndarray]:
-        """NumPy views over ``buf`` for every region."""
-        c = self.capacity
-
-        def arr(offset: int, shape, dtype=np.float64) -> np.ndarray:
-            return np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
-
-        return {
-            "ambient": arr(self.ambient, (c,)),
-            "celsius": arr(self.celsius, (c,)),
-            "act_ids": arr(self.act_ids, (c,), np.int64),
-            "plan_freq": arr(self.plan_freq, (c,)),
-            "plan_covered": arr(self.plan_covered, (c,)),
-            "arrival": arr(self.arrival, (c,)),
-            "wait": arr(self.wait, (c,)),
-            "freqs": arr(self.freqs, (c,)),
-            "reclaim_idx": arr(self.reclaim_idx, (c,), np.int64),
-            "reclaim_pred": arr(self.reclaim_pred, (c,)),
-            "sol_ready": arr(self.sol_ready, (self.n_freqs,), np.int64),
-            "sol_scalars": arr(self.sol_scalars, (self.n_freqs, 4)),
-            # [slot, field, device]: dur, e0a, e1a, e0s, e1s, end_a, end_b
-            "solutions": arr(self.solutions, (self.n_freqs, 7, c)),
-            # [step slot, field, packed pos]: aicore, soc, idle_a,
-            # idle_s, end_celsius
-            "outputs": arr(self.outputs, (self.max_batch, 5, c)),
-        }
+#: Command frame: kernel op code (-1 shuts down), operand count, active
+#: fleet size and up to two float64 operands.  Everything bulky stays
+#: in shared memory.
+_COMMAND = struct.Struct("<iiq2d")
+#: Reply frame: status (0 ok, -1 raised) and the kernel's two results.
+_REPLY = struct.Struct("<i2d")
+_SHUTDOWN = -1
 
 
 def shard_bounds(n_active: int, workers: int, index: int) -> tuple[int, int]:
@@ -166,206 +61,39 @@ def _worker_main(
     shm_name: str,
     index: int,
     workers: int,
-    capacity: int,
-    grid: tuple[float, ...],
-    max_batch: int,
-    k: float,
-    tau: float,
+    layout: _Layout,
 ) -> None:
-    """Shard worker loop: attach once, serve struct-framed commands."""
+    """Shard worker loop: attach once, run kernel calls on its slice."""
     # Workers are children of the engine's process and share its
     # resource tracker, so the attach-side registration is an idempotent
     # set-add and the master's unlink() is the single de-registration.
     shm = shared_memory.SharedMemory(name=shm_name, create=False)
-    layout = _Layout(capacity, len(grid), max_batch)
-    v = layout.views(shm.buf)
-    slot_of = {float(f): j for j, f in enumerate(grid)}
-    cache: dict[str, np.ndarray] = {}
-
-    def epoch_arrivals(n_active: int, has_plan: bool, max_freq: float):
-        lo, hi = shard_bounds(n_active, workers, index)
-        ids = v["act_ids"][lo:hi].astype(np.intp)
-        rows = ids.size
-        cache["lo"], cache["ids"] = lo, ids
-        cache["amb"] = v["ambient"][ids]
-        if has_plan:
-            freqs = np.where(
-                v["plan_covered"][ids] != 0.0, v["plan_freq"][ids], max_freq
-            )
-        else:
-            freqs = np.full(rows, max_freq)
-        arrival = np.empty(rows)
-        fields = {
-            name: np.empty(rows)
-            for name in (
-                "e0a", "e1a", "e0s", "e1s", "p0", "q0",
-                "idle_a0", "idle_ga", "idle_s0", "idle_gs",
-            )
-        }
-        for freq in np.unique(freqs):
-            slot = slot_of[float(freq)]
-            mask = freqs == freq
-            rows_f = ids[mask]
-            sol = v["solutions"][slot]
-            arrival[mask] = sol[0][rows_f]
-            fields["e0a"][mask] = sol[1][rows_f]
-            fields["e1a"][mask] = sol[2][rows_f]
-            fields["e0s"][mask] = sol[3][rows_f]
-            fields["e1s"][mask] = sol[4][rows_f]
-            fields["p0"][mask] = sol[5][rows_f]
-            fields["q0"][mask] = sol[6][rows_f]
-            a0, ga, s0, gs = v["sol_scalars"][slot]
-            fields["idle_a0"][mask] = a0
-            fields["idle_ga"][mask] = ga
-            fields["idle_s0"][mask] = s0
-            fields["idle_gs"][mask] = gs
-        v["arrival"][lo : lo + rows] = arrival
-        v["freqs"][lo : lo + rows] = freqs
-        cache.update(fields)
-        cache["arrival"] = arrival
-        if rows:
-            pos = int(np.argmax(arrival))
-            return float(arrival[pos]), float(lo + pos)
-        return -np.inf, -1.0
-
-    def epoch_coeffs(compute_us: float, collective_us: float) -> None:
-        lo, ids = cache["lo"], cache["ids"]
-        rows = ids.size
-        arrival = cache["arrival"]
-        wait = compute_us - arrival
-        v["wait"][lo : lo + rows] = wait
-        sub = (wait + collective_us) / IDLE_INTEGRATION_STEPS
-        decay = np.exp(-sub / tau)
-        scale = sub / US_PER_S
-        # The 8-substep barrier-wait integration, collapsed to its
-        # affine form in delta0: every quantity in the loop is affine
-        # in the step's initial temperature rise, so iterate on the
-        # (p, q) coefficient pairs once per epoch instead of on the
-        # state every step.
-        p = cache["p0"].copy()
-        q = cache["q0"].copy()
-        ia_p = np.zeros(rows)
-        ia_q = np.zeros(rows)
-        is_p = np.zeros(rows)
-        is_q = np.zeros(rows)
-        a0, ga = cache["idle_a0"], cache["idle_ga"]
-        s0, gs = cache["idle_s0"], cache["idle_gs"]
-        for _ in range(IDLE_INTEGRATION_STEPS):
-            ia_p += (a0 + ga * p) * scale
-            ia_q += (ga * q) * scale
-            sw_p = s0 + gs * p
-            sw_q = gs * q
-            is_p += sw_p * scale
-            is_q += sw_q * scale
-            t_p = k * sw_p
-            t_q = k * sw_q
-            p = t_p + (p - t_p) * decay
-            q = t_q + (q - t_q) * decay
-        cache["ia_p"], cache["ia_q"] = ia_p, ia_q
-        cache["is_p"], cache["is_q"] = is_p, is_q
-        cache["ec_p"] = cache["amb"] + p
-        cache["ec_q"] = q
-
-    def run_steps(count: int) -> None:
-        lo, ids = cache["lo"], cache["ids"]
-        rows = ids.size
-        if rows == 0:
-            return
-        e0a, e1a = cache["e0a"], cache["e1a"]
-        e0s, e1s = cache["e0s"], cache["e1s"]
-        ia_p, ia_q = cache["ia_p"], cache["ia_q"]
-        is_p, is_q = cache["is_p"], cache["is_q"]
-        ec_p, ec_q = cache["ec_p"], cache["ec_q"]
-        amb = cache["amb"]
-        cel = v["celsius"][ids]
-        d0 = np.empty(rows)
-        for j in range(count):
-            out = v["outputs"][j]
-            np.subtract(cel, amb, out=d0)
-            oa = out[0][lo : lo + rows]
-            np.multiply(e1a, d0, out=oa)
-            oa += e0a
-            osoc = out[1][lo : lo + rows]
-            np.multiply(e1s, d0, out=osoc)
-            osoc += e0s
-            oia = out[2][lo : lo + rows]
-            np.multiply(ia_q, d0, out=oia)
-            oia += ia_p
-            ois = out[3][lo : lo + rows]
-            np.multiply(is_q, d0, out=ois)
-            ois += is_p
-            ocel = out[4][lo : lo + rows]
-            np.multiply(ec_q, d0, out=ocel)
-            ocel += ec_p
-            cel = ocel
-        v["celsius"][ids] = cel
-
-    def reclaim_target(n_active: int):
-        lo, hi = shard_bounds(n_active, workers, index)
-        ids = v["act_ids"][lo:hi].astype(np.intp)
-        if ids.size == 0:
-            return -np.inf, -1.0
-        arrivals = v["solutions"][len(grid) - 1, 0][ids]
-        pos = int(np.argmax(arrivals))
-        return float(arrivals[pos]), float(lo + pos)
-
-    def reclaim_choose(n_active: int, target: float):
-        lo, hi = shard_bounds(n_active, workers, index)
-        ids = v["act_ids"][lo:hi].astype(np.intp)
-        rows = ids.size
-        if rows == 0:
-            return 0.0, -1.0
-        durs = np.empty((rows, len(grid)))
-        for j in range(len(grid)):
-            durs[:, j] = v["solutions"][j, 0][ids]
-        meets = durs <= target
-        feasible = meets.any(axis=1)
-        if not feasible.all():
-            return 1.0, float(lo + int(np.argmax(~feasible)))
-        chosen = np.argmax(meets, axis=1)
-        v["reclaim_idx"][lo : lo + rows] = chosen
-        v["reclaim_pred"][lo : lo + rows] = durs[np.arange(rows), chosen]
-        return 0.0, -1.0
-
+    views = layout.views(shm.buf)
+    cache: dict = {}
     try:
         while True:
             try:
                 frame = conn.recv_bytes()
             except (EOFError, OSError):
                 return
-            op, a, b, c, *_ = _FRAME.unpack(frame)
+            op, nargs, n, *operands = _COMMAND.unpack(frame)
+            if op == _SHUTDOWN:
+                return
             try:
-                if op == _OP_SHUTDOWN:
-                    return
-                reply = (0.0,) * 6
-                if op == _OP_EPOCH_ARRIVALS:
-                    m, pos = epoch_arrivals(int(a), b != 0.0, c)
-                    reply = (m, pos, 0.0, 0.0, 0.0, 0.0)
-                elif op == _OP_EPOCH_COEFFS:
-                    epoch_coeffs(a, b)
-                elif op == _OP_STEPS:
-                    run_steps(int(a))
-                elif op == _OP_RECLAIM_TARGET:
-                    m, pos = reclaim_target(int(a))
-                    reply = (m, pos, 0.0, 0.0, 0.0, 0.0)
-                elif op == _OP_RECLAIM_CHOOSE:
-                    bad, pos = reclaim_choose(int(a), b)
-                    reply = (bad, pos, 0.0, 0.0, 0.0, 0.0)
-                conn.send_bytes(_FRAME.pack(0, *reply))
+                lo, hi = shard_bounds(n, workers, index)
+                reply = KERNEL[op](views, cache, lo, hi, *operands[:nargs])
+                conn.send_bytes(_REPLY.pack(0, *(reply or (0.0, 0.0))))
             except Exception:
                 try:
-                    conn.send_bytes(_FRAME.pack(-1, *(0.0,) * 6))
+                    conn.send_bytes(_REPLY.pack(-1, 0.0, 0.0))
                 finally:
                     raise
     finally:
-        try:
-            shm.close()
-        except Exception:
-            pass
+        shm.close()
 
 
 class ShardedFleetSimulator(FleetSimulator):
-    """The vectorized fleet, sharded across persistent worker processes.
+    """The fleet engine with its kernel sharded across worker processes.
 
     Same construction inputs and same public surface as
     :class:`~repro.fleet.simulator.FleetSimulator` — specs, plans, churn
@@ -378,10 +106,8 @@ class ShardedFleetSimulator(FleetSimulator):
         timeout_s: per-command worker reply deadline before the engine
             declares the worker dead (:class:`FleetWorkerError`).
 
-    The engine only supports frequencies on the spec's DVFS grid (which
-    is all any :class:`FleetPlan` carries).  Use it as a context
-    manager, or call :meth:`close` to reap the workers and the shared
-    segment.
+    Use it as a context manager, or call :meth:`close` to reap the
+    workers and the shared segment.
     """
 
     def __init__(
@@ -396,45 +122,15 @@ class ShardedFleetSimulator(FleetSimulator):
             raise ConfigurationError(f"workers must be >= 1: {workers}")
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1: {max_batch}")
-        super().__init__(spec, trace)
         self.workers = workers
         self._max_batch = max_batch
         self._timeout_s = timeout_s
-        self._grid = tuple(float(f) for f in spec.npu.frequencies.points)
-        self._slot_of = {f: j for j, f in enumerate(self._grid)}
-        max_freq = float(spec.npu.max_frequency_mhz)
-        if max_freq not in self._slot_of:
-            raise ConfigurationError(
-                f"max frequency {max_freq} MHz is not on the DVFS grid"
-            )
-        self._layout = _Layout(spec.capacity, len(self._grid), max_batch)
         self._shm: shared_memory.SharedMemory | None = None
         self._procs: list = []
         self._conns: list = []
         self._broken: str | None = None
         self._closed = False
-
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=self._layout.total_bytes
-        )
-        self._v = self._layout.views(self._shm.buf)
-        self._v["sol_ready"][:] = 0
-        self._v["ambient"][:] = self._ambient
-        # Rebind the thermal state onto the shared segment so every
-        # inherited path (churn joins, reset) mutates what workers see.
-        self._v["celsius"][:] = self._celsius
-        self._celsius = self._v["celsius"]
-
-        # Epoch bookkeeping: membership changes bump the epoch; the
-        # step caches key on (membership epoch, plan identity, target).
-        # Keys hold the plan object itself (compared with ``is``) so a
-        # recycled id() can never alias a stale cache entry.
-        self._membership_epoch = 0
-        self._published_membership: int | None = None
-        self._published_plan: FleetPlan | None | object = _NO_PLAN
-        self._ep_key: tuple | None = None
-        self._ep: dict = {}
-        self._collective_cache: tuple | None = None
+        super().__init__(spec, trace)
 
         ctx = get_context(
             "fork" if "fork" in get_all_start_methods() else "spawn"
@@ -444,17 +140,7 @@ class ShardedFleetSimulator(FleetSimulator):
                 parent, child = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(
-                        child,
-                        self._shm.name,
-                        i,
-                        workers,
-                        spec.capacity,
-                        self._grid,
-                        max_batch,
-                        spec.npu.thermal.celsius_per_watt,
-                        spec.npu.thermal.time_constant_us,
-                    ),
+                    args=(child, self._shm.name, i, workers, self._layout),
                     daemon=True,
                     name=f"fleet-shard-{i}",
                 )
@@ -465,6 +151,10 @@ class ShardedFleetSimulator(FleetSimulator):
         except Exception:
             self.close()
             raise
+
+    def _allocate(self, nbytes: int):
+        self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        return self._shm.buf
 
     # ------------------------------------------------------------------
     # Worker plumbing
@@ -485,17 +175,17 @@ class ShardedFleetSimulator(FleetSimulator):
                 f"sharded fleet engine is broken: {self._broken}"
             )
 
-    def _roundtrip(self, op: int, *params: float) -> list[tuple[float, ...]]:
-        """Send one command to every worker; gather replies in order."""
+    def _roundtrip(self, kernel, n: int, *args) -> list:
+        """Send one kernel call to every worker; gather replies in order."""
         self._check_usable()
-        operands = (tuple(params) + (0.0,) * 6)[:6]
-        frame = _FRAME.pack(op, *operands)
+        operands = tuple(float(a) for a in args) + (0.0,) * (2 - len(args))
+        frame = _COMMAND.pack(KERNEL.index(kernel), len(args), n, *operands)
         for i, conn in enumerate(self._conns):
             try:
                 conn.send_bytes(frame)
             except (BrokenPipeError, OSError):
                 self._fail(f"worker {i} is gone (send failed)")
-        replies: list[tuple[float, ...]] = []
+        replies = []
         deadline = time.monotonic() + self._timeout_s
         for i, (conn, proc) in enumerate(zip(self._conns, self._procs)):
             while not conn.poll(0.05):
@@ -512,9 +202,11 @@ class ShardedFleetSimulator(FleetSimulator):
                 data = conn.recv_bytes()
             except (EOFError, OSError):
                 self._fail(f"worker {i} is gone (recv failed)")
-            status, *values = _FRAME.unpack(data)
+            status, *values = _REPLY.unpack(data)
             if status != 0:
-                self._fail(f"worker {i} raised while handling op {op}")
+                self._fail(
+                    f"worker {i} raised while running {kernel.__name__}"
+                )
             replies.append(tuple(values))
         return replies
 
@@ -523,9 +215,10 @@ class ShardedFleetSimulator(FleetSimulator):
         if self._closed:
             return
         self._closed = True
+        shutdown = _COMMAND.pack(_SHUTDOWN, 0, 0, 0.0, 0.0)
         for conn in self._conns:
             try:
-                conn.send_bytes(_FRAME.pack(_OP_SHUTDOWN, *(0.0,) * 6))
+                conn.send_bytes(shutdown)
             except Exception:
                 pass
         for proc in self._procs:
@@ -539,9 +232,9 @@ class ShardedFleetSimulator(FleetSimulator):
             except Exception:
                 pass
         if self._shm is not None:
-            # Detach the state view before freeing the buffer.
-            self._celsius = np.asarray(self._v["celsius"]).copy()
-            self._v = {}
+            # A view into an unmapped segment crashes on access; drop
+            # the engine's views so later use raises instead.
+            self._v = None
             shm, self._shm = self._shm, None
             shm.close()
             try:
@@ -561,295 +254,6 @@ class ShardedFleetSimulator(FleetSimulator):
         except Exception:
             pass
 
-    # ------------------------------------------------------------------
-    # Data-plane publication
-    # ------------------------------------------------------------------
-
-    def _publish_solution(self, freq_mhz: float) -> None:
-        slot = self._slot_of.get(float(freq_mhz))
-        if slot is None:
-            raise ConfigurationError(
-                f"{freq_mhz} MHz is not on the DVFS grid"
-            )
-        if self._v["sol_ready"][slot]:
-            return
-        sol = self.solution(float(freq_mhz))
-        block = self._v["solutions"][slot]
-        block[0] = sol.duration_us
-        block[1] = sol.e0_aicore_j
-        block[2] = sol.e1_aicore_j
-        block[3] = sol.e0_soc_j
-        block[4] = sol.e1_soc_j
-        block[5] = sol.end_a
-        block[6] = sol.end_b
-        self._v["sol_scalars"][slot] = (
-            sol.idle_aicore_w0,
-            sol.idle_aicore_gain,
-            sol.idle_soc_w0,
-            sol.idle_soc_gain,
-        )
-        self._v["sol_ready"][slot] = 1
-
-    def _publish_membership(self, act: np.ndarray) -> None:
-        if self._published_membership != self._membership_epoch:
-            self._v["act_ids"][: act.size] = act
-            self._published_membership = self._membership_epoch
-
-    def _publish_plan(self, plan: FleetPlan | None) -> None:
-        if self._published_plan is plan:
-            return
-        if plan is not None:
-            self._v["plan_freq"][:] = plan.freq_mhz
-            self._v["plan_covered"][:] = plan.covered.astype(float)
-        self._published_plan = plan
-
-    # ------------------------------------------------------------------
-    # Elastic membership (epoch tracking on top of the inherited churn)
-    # ------------------------------------------------------------------
-
-    def advance_churn(self, step: int) -> tuple[FleetEvent, ...]:
-        events = super().advance_churn(step)
-        if any(e.kind in _MEMBERSHIP_KINDS for e in events):
-            self._membership_epoch += 1
-        return events
-
-    def reset(self) -> None:
-        super().reset()
-        self._membership_epoch += 1
-        self._ep_key = None
-
-    # ------------------------------------------------------------------
-    # The sharded barrier step
-    # ------------------------------------------------------------------
-
-    def collective_cost(self):
-        if (
-            self._collective_cache is None
-            or self._collective_cache[0] != self._membership_epoch
-        ):
-            self._collective_cache = (
-                self._membership_epoch,
-                super().collective_cost(),
-            )
-        return self._collective_cache[1]
-
-    def _sync_epoch(
-        self, plan: FleetPlan | None, target_compute_us: float | None
-    ) -> None:
-        key = self._ep_key
-        if (
-            key is not None
-            and key[0] == self._membership_epoch
-            and key[1] is plan
-            and key[2] == target_compute_us
-        ):
-            return
-        act = self.active_ids
-        n = act.size
-        max_freq = float(self._spec.npu.max_frequency_mhz)
-        if plan is None:
-            needed = (max_freq,)
-        else:
-            sel = np.where(plan.covered[act], plan.freq_mhz[act], max_freq)
-            needed = tuple(float(f) for f in np.unique(sel))
-        for freq in needed:
-            self._publish_solution(freq)
-        self._publish_membership(act)
-        self._publish_plan(plan)
-        collective = self.collective_cost()
-
-        replies = self._roundtrip(
-            _OP_EPOCH_ARRIVALS, n, 0.0 if plan is None else 1.0, max_freq
-        )
-        compute_us = -np.inf
-        best_pos = -1
-        for maximum, pos, *_ in replies:
-            if pos >= 0 and maximum > compute_us:
-                compute_us, best_pos = maximum, int(pos)
-        self._roundtrip(_OP_EPOCH_COEFFS, compute_us, collective.chosen_us)
-
-        arrival = self._v["arrival"][:n].copy()
-        ep = {
-            "act": act,
-            "arrival": arrival,
-            "wait": self._v["wait"][:n].copy(),
-            "freqs": self._v["freqs"][:n].copy(),
-            "compute_us": float(compute_us),
-            "straggler_id": int(act[best_pos]),
-            "collective": collective,
-            "overrun_count": 0,
-            "offenders": (),
-        }
-        if target_compute_us is not None:
-            lateness = (arrival - target_compute_us) / target_compute_us
-            late = lateness > BARRIER_OVERRUN_TOLERANCE
-            count = int(np.count_nonzero(late))
-            if count:
-                late_ids = act[late]
-                order = descending_top_k(lateness[late], DEFAULT_TOP_K)
-                ep["overrun_count"] = count
-                ep["offenders"] = tuple(int(late_ids[pos]) for pos in order)
-        self._ep = ep
-        self._ep_key = (self._membership_epoch, plan, target_compute_us)
-
-    def _materialize(
-        self, slot: int, events: tuple[FleetEvent, ...]
-    ) -> FleetStepResult:
-        ep = self._ep
-        n = ep["act"].size
-        out = self._v["outputs"][slot]
-        if ep["overrun_count"]:
-            self._overrun_total += ep["overrun_count"]
-        return FleetStepResult(
-            fleet_name=self._spec.name,
-            workload=self._trace.name,
-            compute_us=ep["compute_us"],
-            collective=ep["collective"],
-            straggler_id=ep["straggler_id"],
-            device_ids=ep["act"],
-            arrival_us=ep["arrival"],
-            wait_us=ep["wait"],
-            freq_mhz=ep["freqs"],
-            aicore_energy_j=out[0][:n].copy(),
-            soc_energy_j=out[1][:n].copy(),
-            idle_aicore_energy_j=out[2][:n].copy(),
-            idle_soc_energy_j=out[3][:n].copy(),
-            end_celsius=out[4][:n].copy(),
-            overrun_count=ep["overrun_count"],
-            overrun_device_ids=ep["offenders"],
-            events=events,
-        )
-
-    def step(
-        self,
-        plan: FleetPlan | None = None,
-        target_compute_us: float | None = None,
-        events: tuple[FleetEvent, ...] = (),
-    ) -> FleetStepResult:
-        self._check_usable()
-        self._sync_epoch(plan, target_compute_us)
-        self._roundtrip(_OP_STEPS, 1)
-        return self._materialize(0, events)
-
-    def run_steps(
-        self,
-        plan: FleetPlan | None = None,
-        steps: int = 3,
-        target_compute_us: float | None = None,
-        replan: Callable[["FleetSimulator"], FleetPlan] | None = None,
-    ) -> list[FleetStepResult]:
-        """Consecutive steps with churn; churn-free spans batch.
-
-        Semantics of :meth:`FleetSimulator.run_steps`, but every span of
-        steps sharing one epoch executes as a single worker round-trip
-        of up to ``max_batch`` steps.
-        """
-        if steps < 1:
-            raise ConfigurationError(f"steps must be >= 1: {steps}")
-        self._check_usable()
-        results: list[FleetStepResult] = []
-        pending: list[tuple[FleetEvent, ...]] = []
-
-        def flush() -> None:
-            # Pending steps run against the epoch captured when the
-            # first of them was enqueued — churn drawn since then only
-            # touched devices outside that epoch's membership.
-            if not pending:
-                return
-            self._roundtrip(_OP_STEPS, len(pending))
-            for slot, step_events in enumerate(pending):
-                results.append(self._materialize(slot, step_events))
-            pending.clear()
-
-        for index in range(steps):
-            events: tuple[FleetEvent, ...] = ()
-            if index > 0:
-                events = self.advance_churn(index)
-                changed = any(
-                    e.kind in _MEMBERSHIP_KINDS for e in events
-                )
-                if changed:
-                    flush()
-                    if replan is not None:
-                        plan = replan(self)
-                        target_compute_us = plan.target_compute_us
-            if not pending:
-                self._sync_epoch(plan, target_compute_us)
-            pending.append(events)
-            if len(pending) == self._max_batch:
-                flush()
-        flush()
-        return results
-
-    # ------------------------------------------------------------------
-    # Sharded slack reclamation
-    # ------------------------------------------------------------------
-
-    def reclaim_sharded(self, slack_margin: float = 0.0) -> FleetPlan:
-        """Per-shard reclamation passes merged to the exact single plan.
-
-        The distributed form of
-        :func:`repro.fleet.dvfs.reclaim_fleet_slack` (which dispatches
-        here for sharded engines): workers find the per-shard straggler
-        and choose per-device frequencies against the merged target;
-        the assembled :class:`FleetPlan` is byte-identical to the
-        single-process pass — same durations (bitwise), same barrier
-        target, same straggler, same serialized strategies.
-        """
-        if slack_margin < 0:
-            raise ConfigurationError(
-                f"slack_margin must be non-negative: {slack_margin}"
-            )
-        self._check_usable()
-        act = self.active_ids
-        n = act.size
-        if n == 0:
-            raise ConfigurationError(
-                "reclaim needs at least one active device"
-            )
-        for freq in self._grid:
-            self._publish_solution(freq)
-        self._publish_membership(act)
-
-        replies = self._roundtrip(_OP_RECLAIM_TARGET, n)
-        best = -np.inf
-        best_pos = -1
-        for maximum, pos, *_ in replies:
-            if pos >= 0 and maximum > best:
-                best, best_pos = maximum, int(pos)
-        straggler_id = int(act[best_pos])
-        target = float(best) * (1.0 + slack_margin)
-
-        replies = self._roundtrip(_OP_RECLAIM_CHOOSE, n, target)
-        bad_pos = [int(pos) for bad, pos, *_ in replies if bad != 0.0]
-        if bad_pos:
-            device = int(act[min(bad_pos)])
-            raise StrategyError(
-                f"device {device} cannot reach the barrier at "
-                f"{target:.0f} us even at {self._grid[-1]:.0f} MHz"
-            )
-
-        capacity = self._spec.capacity
-        n_freqs = len(self._grid)
-        freq_index = np.full(capacity, n_freqs - 1, dtype=np.intp)
-        freq_index[act] = self._v["reclaim_idx"][:n]
-        grid = np.asarray(self._grid, dtype=float)
-        freq_mhz = grid[freq_index]
-        predicted = self._v["solutions"][n_freqs - 1, 0].copy()
-        predicted[act] = self._v["reclaim_pred"][:n]
-        covered = np.zeros(capacity, dtype=bool)
-        covered[act] = True
-        return FleetPlan(
-            workload=self._trace.name,
-            target_compute_us=target,
-            straggler_id=straggler_id,
-            freqs_mhz=self._grid,
-            freq_index=freq_index,
-            freq_mhz=freq_mhz,
-            predicted_us=predicted,
-            covered=covered,
-        )
-
 
 def make_fleet_simulator(
     spec: FleetSpec,
@@ -859,8 +263,7 @@ def make_fleet_simulator(
 ) -> FleetSimulator:
     """One fleet engine, sized by ``workers``.
 
-    ``workers <= 1`` returns the plain single-process
-    :class:`FleetSimulator` (exactly the historical behavior);
+    ``workers <= 1`` returns the in-process :class:`FleetSimulator`;
     ``workers >= 2`` returns a :class:`ShardedFleetSimulator`.
     """
     if workers <= 1:
@@ -870,15 +273,9 @@ def make_fleet_simulator(
     )
 
 
-def simulator_workers(sim: FleetSimulator) -> int:
-    """How many shard workers ``sim`` runs (1 for the plain engine)."""
-    return getattr(sim, "workers", 1)
-
-
 __all__ = [
     "DEFAULT_MAX_BATCH",
     "ShardedFleetSimulator",
     "make_fleet_simulator",
     "shard_bounds",
-    "simulator_workers",
 ]

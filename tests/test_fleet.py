@@ -181,6 +181,47 @@ class TestDurationTable:
             for j in range(len(device.freqs_mhz)):
                 assert table[i, j] == device.duration_us[j]
 
+    def test_durations_built_once_and_solutions_only_when_used(
+        self, tiny_trace, monkeypatch
+    ):
+        """Regression for two cost traps: a reclaim that recomputed the
+        duration table on every call, and a reclaim that built a full
+        affine solution for every grid frequency."""
+        import repro.fleet.simulator as fleet_simulator
+
+        durations_calls = []
+        solution_freqs = []
+        real_durations = fleet_simulator.batched_const_durations
+        real_solutions = fleet_simulator.batched_const_solutions
+
+        def counted_durations(compiled, freq_mhz, *args):
+            durations_calls.append(freq_mhz)
+            return real_durations(compiled, freq_mhz, *args)
+
+        def counted_solutions(compiled, freq_mhz, *args):
+            solution_freqs.append(freq_mhz)
+            return real_solutions(compiled, freq_mhz, *args)
+
+        monkeypatch.setattr(
+            fleet_simulator, "batched_const_durations", counted_durations
+        )
+        monkeypatch.setattr(
+            fleet_simulator, "batched_const_solutions", counted_solutions
+        )
+        sim = FleetSimulator(FleetSpec(n_devices=8, seed=0), tiny_trace)
+        plan = reclaim_fleet_slack(sim)
+        assert durations_calls
+        assert solution_freqs == []  # the first reclaim builds none
+        built = len(durations_calls)
+        reclaim_fleet_slack(sim)
+        assert len(durations_calls) == built  # the second computes nothing
+        sim.step(plan, target_compute_us=plan.target_compute_us)
+        used = set(np.unique(plan.freq_mhz[plan.covered]).tolist())
+        assert sorted(solution_freqs) == sorted(used)
+        table = sim.duration_table()
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
 
 class TestChurn:
     def test_draws_are_deterministic(self):

@@ -30,7 +30,6 @@ from repro.fleet import (
     plan_strategy_json,
     reclaim_fleet_slack,
     shard_bounds,
-    simulator_workers,
 )
 from repro.fleet.reference import compare_with_sharded
 from repro.serve.store import StrategyStore
@@ -75,7 +74,7 @@ class TestFactory:
             FleetSpec(n_devices=4), tiny_trace, workers=1
         )
         assert type(sim) is FleetSimulator
-        assert simulator_workers(sim) == 1
+        assert sim.workers == 1
 
     def test_workers_two_is_sharded(self, tiny_trace):
         sim = make_fleet_simulator(
@@ -83,7 +82,7 @@ class TestFactory:
         )
         try:
             assert isinstance(sim, ShardedFleetSimulator)
-            assert simulator_workers(sim) == 2
+            assert sim.workers == 2
         finally:
             sim.close()
 
@@ -130,23 +129,59 @@ class TestByteIdentity:
         assert comparison.byte_identical
         assert comparison.ok()
 
-    def test_batching_does_not_change_results(self, tiny_trace):
-        spec = churned_spec(32, seed=1)
-        with ShardedFleetSimulator(
-            spec, tiny_trace, workers=2, max_batch=1
-        ) as unbatched, ShardedFleetSimulator(
-            spec, tiny_trace, workers=2, max_batch=8
-        ) as batched:
-            a = unbatched.run_steps(None, steps=6)
-            b = batched.run_steps(None, steps=6)
+    @pytest.mark.parametrize(
+        "workers, seed, replan",
+        [(2, 1, None), (1, 1, None), (1, 6, auto_retarget())],
+        ids=["workers=2", "in-process", "in-process-replan"],
+    )
+    def test_batching_does_not_change_results(
+        self, tiny_trace, workers, seed, replan
+    ):
+        """A step() loop and batched run_steps produce the same bits."""
+        spec = churned_spec(32, seed=seed)
+        looped = make_fleet_simulator(
+            spec, tiny_trace, workers=workers, max_batch=1
+        )
+        batched = make_fleet_simulator(
+            spec, tiny_trace, workers=workers, max_batch=8
+        )
+        try:
+            plan = reclaim_fleet_slack(looped) if replan else None
+            target = plan.target_compute_us if plan else None
+            a = []
+            for index in range(6):
+                events = looped.advance_churn(index) if index else ()
+                changed = any(
+                    e.kind in ("join", "leave", "fail") for e in events
+                )
+                if replan and changed:
+                    plan = replan(looped)
+                    target = plan.target_compute_us
+                a.append(looped.step(plan, target, events=events))
+            plan = reclaim_fleet_slack(batched) if replan else None
+            b = batched.run_steps(
+                plan,
+                steps=6,
+                target_compute_us=plan.target_compute_us if plan else None,
+                replan=replan,
+            )
+        finally:
+            for sim in (looped, batched):
+                if isinstance(sim, ShardedFleetSimulator):
+                    sim.close()
         assert len(a) == len(b)
+        if replan:
+            assert any(x.events for x in a)  # churn forced replans
         for x, y in zip(a, b):
             assert np.array_equal(x.device_ids, y.device_ids)
             assert np.array_equal(x.arrival_us, y.arrival_us)
+            assert np.array_equal(x.freq_mhz, y.freq_mhz)
             assert np.array_equal(x.end_celsius, y.end_celsius)
+            assert np.array_equal(x.soc_energy_j, y.soc_energy_j)
             assert np.array_equal(
                 x.idle_soc_energy_j, y.idle_soc_energy_j
             )
+            assert x.fleet_soc_energy_j == y.fleet_soc_energy_j
             assert x.events == y.events
 
     def test_reclaim_dispatch_is_byte_identical(self, tiny_trace):
