@@ -3,7 +3,7 @@
 
 Measures the four hot paths the compiled-trace engine accelerates, each
 A/B against the reference per-chunk loop (forced via
-:func:`repro.npu.engine.reference_only`):
+``repro.fidelity.reference("engine")``):
 
 * ``simulate``  — single-iteration trace execution (operators/second);
 * ``sweep``     — a full-grid constant-frequency ``run_stable`` profiler
@@ -46,7 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro import batching  # noqa: E402
+from repro import fidelity  # noqa: E402
 from repro.cluster import ClusterSpec, SimulatedCluster  # noqa: E402
 from repro.core import EnergyOptimizer, OptimizerConfig  # noqa: E402
 from repro.dvfs.ga import GaConfig, run_search  # noqa: E402
@@ -54,7 +54,6 @@ from repro.npu import (  # noqa: E402
     FrequencyTimeline,
     NpuDevice,
     default_npu_spec,
-    reference_only,
 )
 from repro.workloads import generate  # noqa: E402
 
@@ -118,13 +117,16 @@ def bench_simulate(trace, warmup: int, rounds: int) -> dict:
     spec = default_npu_spec()
     timeline = FrequencyTimeline.constant(spec.max_frequency_mhz)
     fast_dev = NpuDevice(spec)
-    ref_dev = NpuDevice(spec, engine=False)
+    ref_dev = NpuDevice(spec)
+
+    def ref_run():
+        with fidelity.reference("engine"):
+            return ref_dev.run(trace, timeline)
 
     fast = time_rounds(lambda: fast_dev.run(trace, timeline), warmup, rounds)
-    ref = time_rounds(lambda: ref_dev.run(trace, timeline), warmup, rounds)
+    ref = time_rounds(ref_run, warmup, rounds)
     worst = check_result_equivalence(
-        fast_dev.run(trace, timeline), ref_dev.run(trace, timeline),
-        "simulate",
+        fast_dev.run(trace, timeline), ref_run(), "simulate"
     )
     n_ops = len(trace.entries)
     return {
@@ -144,7 +146,7 @@ def bench_sweep(trace, warmup: int, rounds: int) -> dict:
     spec = default_npu_spec()
     freqs = spec.frequencies.points
     fast_dev = NpuDevice(spec)
-    ref_dev = NpuDevice(spec, engine=False)
+    ref_dev = NpuDevice(spec)
 
     def sweep(device):
         return [
@@ -152,12 +154,14 @@ def bench_sweep(trace, warmup: int, rounds: int) -> dict:
             for freq in freqs
         ]
 
+    def ref_sweep():
+        with fidelity.reference("engine"):
+            return sweep(ref_dev)
+
     fast = time_rounds(lambda: sweep(fast_dev), warmup, rounds)
-    ref = time_rounds(lambda: sweep(ref_dev), warmup, rounds)
+    ref = time_rounds(ref_sweep, warmup, rounds)
     worst = 0.0
-    for freq, fast_res, ref_res in zip(
-        freqs, sweep(fast_dev), sweep(ref_dev)
-    ):
+    for freq, fast_res, ref_res in zip(freqs, sweep(fast_dev), ref_sweep()):
         worst = max(
             worst,
             check_result_equivalence(
@@ -182,7 +186,7 @@ def bench_cluster(trace, n_devices: int, warmup: int, rounds: int) -> dict:
     fast = time_rounds(lambda: fast_cluster.run_step(trace), warmup, rounds)
 
     def ref_step():
-        with reference_only():
+        with fidelity.reference("engine"):
             return ref_cluster.run_step(trace)
 
     ref = time_rounds(ref_step, warmup, rounds)
@@ -285,7 +289,7 @@ def bench_pipeline(trace, warmup: int, rounds: int) -> dict:
     fast = time_rounds(lambda: cold_path(), warmup, rounds)
 
     def ref_cold_path(seed=0):
-        with reference_only(), batching.reference_cold_path():
+        with fidelity.reference("engine", "cold_path"):
             return cold_path(seed)
 
     ref = time_rounds(lambda: ref_cold_path(), min(warmup, 1), rounds)
@@ -294,7 +298,7 @@ def bench_pipeline(trace, warmup: int, rounds: int) -> dict:
     # one byte for byte (engine on in both arms).
     for seed in (0, 1, 2):
         _, batched_result = cold_path(seed)
-        with batching.reference_cold_path():
+        with fidelity.reference("cold_path"):
             _, scalar_result = cold_path(seed)
         if (
             batched_result.best_genes.tobytes()

@@ -194,22 +194,6 @@ def fleet_config_hash(
     )
 
 
-def fleet_device_fingerprint(
-    trace: Trace,
-    spec,
-    active_ids: tuple[int, ...],
-    device_id: int,
-    slack_margin: float = 0.0,
-) -> str:
-    """The store key for one fleet device's share of a reclaimed plan."""
-    profile = spec.device_profiles()[device_id]
-    return combine_fingerprints(
-        trace_fingerprint(trace),
-        fleet_config_hash(spec, active_ids, slack_margin),
-        device_spec_hash(spec.cluster_spec(), profile),
-    )
-
-
 @dataclass(frozen=True)
 class FleetCachedReclaimResult:
     """A fleet plan plus where its device strategies came from."""

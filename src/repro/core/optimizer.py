@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from repro import fidelity
 from repro.analysis.rng import RngFactory
-from repro.batching import batched_cold_path_enabled
 from repro.core.config import OptimizerConfig
 from repro.core.report import MeasuredMetrics, OptimizationReport
 from repro.dvfs.classification import (
@@ -38,7 +38,6 @@ from repro.dvfs.preprocessing import (
 from repro.dvfs.scoring import StrategyScorer
 from repro.dvfs.strategy import DvfsStrategy, strategy_from_genes
 from repro.npu.device import NpuDevice
-from repro.npu.engine import fast_path_enabled
 from repro.npu.faults import (
     FaultInjector,
     FaultyCannStyleProfiler,
@@ -229,12 +228,11 @@ class EnergyOptimizer:
         Fault-injecting instruments consume their noise streams
         differently (drops, perturbations), so anything but the plain
         profiler/telemetry pair keeps the sequential sweep; the grid pass
-        also needs the compiled-trace engine.
+        runs on the compiled trace, so it also needs the ``engine`` tier.
         """
         return (
-            batched_cold_path_enabled()
-            and fast_path_enabled()
-            and self._device.engine is not None
+            fidelity.fast.cold_path
+            and fidelity.fast.engine
             and type(self._profiler) is CannStyleProfiler
             and type(self._telemetry) is PowerTelemetry
         )
@@ -306,7 +304,7 @@ class EnergyOptimizer:
         tolerant = self._config.fault.profiler_active
         batched = (
             bundle.grid is not None
-            and batched_cold_path_enabled()
+            and fidelity.fast.cold_path
             and not tolerant
             and self._config.fit_function in BATCH_FITTERS
         )
@@ -350,7 +348,7 @@ class EnergyOptimizer:
         bit-identical stages — without materialising report objects.
         """
         base = bundle.grid.baseline if bundle.grid is not None else None
-        if base is not None and batched_cold_path_enabled():
+        if base is not None and fidelity.fast.cold_path:
             sensitive = frequency_sensitive_mask(
                 base.is_compute, base.present, base.ratios
             )

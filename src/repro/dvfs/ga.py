@@ -18,11 +18,7 @@ import numpy as np
 
 from repro.dvfs.preprocessing import Stage, StageKind
 from repro.dvfs.scoring import StrategyScorer
-from repro.dvfs.surrogate import (
-    SurrogateConfig,
-    fit_surrogate,
-    surrogate_search_allowed,
-)
+from repro.dvfs.surrogate import SurrogateConfig, fit_surrogate
 from repro.errors import StrategyError
 
 
@@ -236,7 +232,6 @@ def run_search(
     if (
         surrogate is not None
         and surrogate.enabled
-        and surrogate_search_allowed()
         and hasattr(scorer, "stage_tables")
     ):
         return _run_search_surrogate(scorer, stages, freqs_mhz, config,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batching import batched_cold_path_enabled
+from repro import fidelity
 from repro.dvfs.preprocessing import Stage
 from repro.errors import StrategyError
 from repro.perf.model import WorkloadPerformanceModel
@@ -139,7 +139,7 @@ class StrategyScorer:
                 for f, v in zip(self._freqs, self._volts)
             ]
         )
-        if batched_cold_path_enabled():
+        if fidelity.fast.cold_path:
             self._build_tables_grouped(
                 all_names, perf_model, power_table, idle_ai, idle_soc
             )

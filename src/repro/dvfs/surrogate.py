@@ -34,45 +34,12 @@ surrogate only shapes which candidates get oracle attention.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from repro.dvfs.scoring import StrategyScorer
 from repro.errors import StrategyError
-
-_SURROGATE_ENABLED = True
-
-
-def surrogate_search_allowed() -> bool:
-    """Whether surrogate-assisted search is globally allowed.
-
-    This is a process-global kill switch in the spirit of
-    :func:`repro.batching.batched_cold_path_enabled`: it is *not* part of
-    the strategy fingerprint, because disabling it only forces the exact
-    oracle path — the safe direction — and never changes which strategy a
-    given (config, trace) pair converges to being cached under.
-    """
-    return _SURROGATE_ENABLED
-
-
-def set_surrogate_search_allowed(enabled: bool) -> None:
-    """Globally allow/forbid surrogate-assisted search."""
-    global _SURROGATE_ENABLED
-    _SURROGATE_ENABLED = bool(enabled)
-
-
-@contextmanager
-def exact_search_only() -> Iterator[None]:
-    """Context manager forcing the exact GA (A/B comparisons, debugging)."""
-    previous = _SURROGATE_ENABLED
-    set_surrogate_search_allowed(False)
-    try:
-        yield
-    finally:
-        set_surrogate_search_allowed(previous)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ Examples::
     python -m repro.fleet run gpt3 --scale 0.02 --devices 64
     python -m repro.fleet run gpt3 --devices 256 --leave-rate 0.5 --workers 4
     python -m repro.fleet bench --devices 10000 --output BENCH_fleet.json
-    python -m repro.fleet bench --workers 4 --scale-devices 100000
+    python -m repro.fleet bench --sharded-workers 4 --scale-devices 100000
 """
 
 from __future__ import annotations
@@ -116,15 +116,6 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
         default=8,
         help="stragglers shown in the per-device table",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "shard worker processes; 1 (the default) runs the "
-            "barrier-step kernel in process"
-        ),
-    )
 
 
 def _spec_from_args(args: argparse.Namespace) -> FleetSpec:
@@ -158,6 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="simulate a fleet and print the straggler summary"
     )
     _add_fleet_arguments(run)
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help=(
+            "shard worker processes; 1 (the default) runs the "
+            "barrier-step kernel in process"
+        ),
+    )
 
     bench = commands.add_parser(
         "bench", help="measure barrier steps/s and write BENCH_fleet.json"
@@ -342,10 +342,7 @@ def _bench(args: argparse.Namespace) -> int:
     # Sharded rows: warm rates at each worker count and the
     # byte-identity harness on a small churned fleet at the same worker
     # count.
-    row_counts = sorted(
-        set(args.sharded_workers)
-        | ({args.workers} if args.workers > 1 else set())
-    )
+    row_counts = sorted(set(args.sharded_workers))
     identity_spec = FleetSpec(
         n_devices=min(args.devices, 64),
         topology=spec.topology,

@@ -49,7 +49,9 @@ class FleetSpec:
         topology: rack structure and interconnect grades.
         gradient_bytes: all-reduce payload per training step.
         seed: root seed of variation and churn draws.
-        overrides: explicit per-device conditions (degradation).
+        overrides: explicit per-device conditions (degradation).  The
+            fleet models duration and ambient only, so an override with
+            active control-plane faults is rejected rather than dropped.
         churn: elastic join/leave/fail dynamics.
     """
 
@@ -73,6 +75,13 @@ class FleetSpec:
                 f"min_active ({self.churn.min_active}) exceeds the initial "
                 f"fleet size ({self.n_devices})"
             )
+        for override in self.overrides:
+            if override.fault is not None and override.fault.any_active:
+                raise ConfigurationError(
+                    f"device {override.device_id}: the fleet does not "
+                    f"model control-plane faults; use the looped cluster "
+                    f"(repro.cluster) for fault overrides"
+                )
         # Delegate the remaining validation (payload, override ids and
         # duplicates) to the cluster spec over the full capacity.
         self.cluster_spec(self.capacity)

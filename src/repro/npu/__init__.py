@@ -15,14 +15,7 @@ from repro.npu.device import (
     OperatorRecord,
     PowerChunk,
 )
-from repro.npu.engine import (
-    CompiledTrace,
-    EngineStats,
-    TraceEngine,
-    fast_path_enabled,
-    reference_only,
-    set_fast_path_enabled,
-)
+from repro.npu.engine import CompiledTrace, TraceEngine
 from repro.npu.execution import GroundTruthEvaluator, OperatorEvaluation
 from repro.npu.faults import (
     FaultConfig,
@@ -97,7 +90,6 @@ __all__ = [
     "CORE_PIPES",
     "CannStyleProfiler",
     "CompiledTrace",
-    "EngineStats",
     "ExecutionResult",
     "FaultConfig",
     "FaultInjector",
@@ -145,16 +137,13 @@ __all__ = [
     "closed_form_cycles",
     "default_npu_spec",
     "edge_npu_spec",
-    "fast_path_enabled",
     "frequency_reverts_after",
     "frequency_rises_before",
     "get_profile",
     "gpu_v100_like_spec",
     "merge_reports",
     "noise_free_spec",
-    "reference_only",
     "save_chrome_trace",
-    "set_fast_path_enabled",
     "solve_equilibrium_power",
     "to_chrome_trace",
     "validate_spec",

@@ -33,21 +33,21 @@ inner rounds, cluster steps) never pay for their construction.
 Stateful or faulty plans — :class:`~repro.npu.faults.FaultyFrequencyPlan`,
 :class:`~repro.dvfs.guard.GuardedFrequencyPlan`, anchored plans with a
 busy-controller extra delay — are *not* eligible: the device transparently
-keeps the reference loop for them.  :func:`set_fast_path_enabled` /
-:func:`reference_only` force the reference loop globally (benchmarks and
-equivalence tests use this).
+keeps the reference loop for them.  ``repro.fidelity.reference("engine")``
+forces the reference loop globally (benchmarks and equivalence tests use
+this).
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro import fidelity
 from repro.npu.device import (
     ExecutionResult,
     IDLE_INDEX,
@@ -83,8 +83,6 @@ _COMPILED_CACHE_LIMIT = 64
 #: trace weakly and drop out when it is collected.
 _SHARED_COMPILED: dict[tuple[int, str], tuple] = {}
 
-_FAST_PATH_ENABLED = True
-
 
 def _shared_dropper(key: tuple[int, str]) -> Callable[[weakref.ref], None]:
     """Weakref callback removing ``key``'s shared entry once its trace dies.
@@ -102,28 +100,6 @@ def _shared_dropper(key: tuple[int, str]) -> Callable[[weakref.ref], None]:
             cache.pop(key, None)
 
     return drop
-
-
-def fast_path_enabled() -> bool:
-    """Whether the compiled-trace fast path is globally enabled."""
-    return _FAST_PATH_ENABLED
-
-
-def set_fast_path_enabled(enabled: bool) -> None:
-    """Globally enable/disable the fast path (reference loop fallback)."""
-    global _FAST_PATH_ENABLED
-    _FAST_PATH_ENABLED = bool(enabled)
-
-
-@contextmanager
-def reference_only() -> Iterator[None]:
-    """Context manager forcing the reference loop (for A/B comparisons)."""
-    previous = _FAST_PATH_ENABLED
-    set_fast_path_enabled(False)
-    try:
-        yield
-    finally:
-        set_fast_path_enabled(previous)
 
 
 class _LazySeq(Sequence):
@@ -174,15 +150,6 @@ class _LazySeq(Sequence):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(len={self._size})"
-
-
-@dataclass
-class EngineStats:
-    """Counters describing how the engine has been exercised."""
-
-    fast_path_runs: int = 0
-    compiled_traces: int = 0
-    column_builds: int = 0
 
 
 class _FreqColumn:
@@ -892,7 +859,6 @@ class TraceEngine:
         self._evaluator = evaluator
         self._compiled: dict[int, tuple[weakref.ref, CompiledTrace]] = {}
         self._spec_repr: str | None = None
-        self.stats = EngineStats()
 
     @property
     def npu(self) -> NpuSpec:
@@ -916,8 +882,8 @@ class TraceEngine:
         )
 
     def active_for(self, timeline: object) -> bool:
-        """``supports`` gated by the global enable flag."""
-        return _FAST_PATH_ENABLED and self.supports(timeline)
+        """``supports`` gated by the ``engine`` fidelity tier."""
+        return fidelity.fast.engine and self.supports(timeline)
 
     def execute(
         self,
@@ -933,7 +899,6 @@ class TraceEngine:
             if initial_celsius is None
             else float(initial_celsius)
         )
-        self.stats.fast_path_runs += 1
         if type(timeline) is AnchoredFrequencyPlan:
             gap_freqs, op_freqs = timeline.compile_op_schedule(compiled.n_ops)
             return self._run_oplevel(compiled, op_freqs, gap_freqs, celsius0)
@@ -949,8 +914,7 @@ class TraceEngine:
         Misses consult the process-wide cache before compiling: another
         engine with a value-identical spec may already have lowered this
         trace, and lowering is pure, so adopting its result (evaluator
-        included) changes nothing downstream.  ``stats.compiled_traces``
-        counts this engine's cache misses either way.
+        included) changes nothing downstream.
         """
         key = id(trace)
         cached = self._compiled.get(key)
@@ -973,11 +937,9 @@ class TraceEngine:
             if shared is not None:
                 ref, compiled = shared
                 if ref() is trace:
-                    self.stats.compiled_traces += 1
                     self._compiled[key] = (ref, compiled)
                     return compiled
         compiled = CompiledTrace(trace, self._evaluator)
-        self.stats.compiled_traces += 1
         if shared_key is None:
             self._compiled[key] = (weakref.ref(trace), compiled)
             return compiled

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.batching import batched_cold_path_enabled
+from repro import fidelity
 from repro.errors import FittingError, ProfilingError
 from repro.npu.operators import OperatorKind
 from repro.npu.profiler import ProfileReport, merge_reports
@@ -96,7 +96,7 @@ class WorkloadPerformanceModel:
         freqs = np.asarray(list(freqs_mhz), dtype=float)
         matrix = np.empty((len(names), freqs.size), dtype=float)
         stacked = getattr(self, "_stacked", None)
-        if stacked is not None and batched_cold_path_enabled():
+        if stacked is not None and fidelity.fast.cold_path:
             # Batch-built model: gather the stacked fit parameters and
             # constants directly instead of walking per-name objects.  The
             # elementwise expressions below match the object path exactly.
@@ -138,7 +138,7 @@ class WorkloadPerformanceModel:
                 raise FittingError(
                     f"no performance model for operator {name!r}"
                 ) from None
-        if not batched_cold_path_enabled():
+        if not fidelity.fast.cold_path:
             for i, model in enumerate(models):
                 if model.fit is None:
                     matrix[i, :] = model.constant_us

@@ -330,14 +330,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers", dest="traffic_workers", type=int, default=0,
-        help=(
-            "optimizer-pool worker processes behind the strategy "
-            "service (default 0 = in-process serial, the historical "
-            "behavior)"
-        ),
-    )
-    parser.add_argument(
         "--store", default=None,
         help="persistent store root (default: fresh temp dir)",
     )
@@ -387,7 +379,6 @@ def _bench_main(argv: Sequence[str]) -> int:
         window=args.window,
         verify=args.verify,
         prewarm=args.prewarm,
-        workers=args.traffic_workers,
     )
     optimizer_config = OptimizerConfig(
         performance_loss_target=args.target,

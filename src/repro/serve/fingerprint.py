@@ -124,12 +124,10 @@ def config_fingerprint(config: OptimizerConfig) -> str:
     (:func:`spec_fingerprint`) so the store can report *which* of the
     two drifted.
 
-    The process-wide surrogate kill switch
-    (:func:`repro.dvfs.surrogate.surrogate_search_allowed`) is
-    deliberately NOT hashed: flipping it only ever forces the exact GA,
-    whose results are always acceptable for a surrogate-enabled config —
-    the safe direction — whereas hashing it would split the cache on an
-    operational toggle.
+    The process-wide fidelity tiers (:mod:`repro.fidelity`) are
+    deliberately NOT hashed: each tier reproduces its reference
+    implementation bitwise or within 1e-9, so hashing them would only
+    split the cache on an operational toggle.
     """
     return _digest(
         {

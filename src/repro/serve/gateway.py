@@ -16,8 +16,7 @@ asyncio layer that makes the service survivable under fleet traffic:
   enqueues one job; the rest await the same future and report
   ``source="coalesced"`` — exactly the synchronous service's semantics,
   lifted to the event loop.
-* **Non-blocking dispatch.**  Misses run on an executor (threads by
-  default, the optimizer process pool optionally) via
+* **Non-blocking dispatch.**  Misses run on a thread executor via
   ``loop.run_in_executor``; the event loop keeps admitting and serving
   store hits while GA runs are in flight.
 * **Graceful drain.**  :meth:`AsyncGateway.drain` stops admitting
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Union
 
@@ -63,16 +62,12 @@ class GatewayConfig:
             0 disables rate limiting.
         burst_per_source: token-bucket capacity per source; defaults to
             one second's worth of tokens (``rate_per_source``) when 0.
-        use_processes: run GA misses on a process pool instead of
-            threads (worth it when misses dominate; threads suffice when
-            the store absorbs the fleet).
     """
 
     max_queue_depth: int = 256
     dispatchers: int = 4
     rate_per_source: float = 0.0
     burst_per_source: float = 0.0
-    use_processes: bool = False
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -157,7 +152,7 @@ class AsyncGateway:
         self._inflight: dict[str, asyncio.Future] = {}
         self._queue: asyncio.Queue | None = None
         self._dispatchers: list[asyncio.Task] = []
-        self._executor: Executor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._draining = False
         self._started = False
         #: High-water mark of the dispatch queue (for the bench report).
@@ -170,15 +165,10 @@ class AsyncGateway:
         if self._started:
             return self
         self._queue = asyncio.Queue(maxsize=self.config.max_queue_depth)
-        if self.config.use_processes:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.config.dispatchers
-            )
-        else:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.dispatchers,
-                thread_name_prefix="gateway-dispatch",
-            )
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.config.dispatchers,
+            thread_name_prefix="gateway-dispatch",
+        )
         self._dispatchers = [
             asyncio.create_task(self._dispatch_loop(), name=f"dispatch-{i}")
             for i in range(self.config.dispatchers)
@@ -330,11 +320,9 @@ class AsyncGateway:
                     self.service.config,
                 )
                 strategy = self.service.commit(pool_result)
-                self.stats.ga_runs += 1
-                if pool_result.surrogate_used:
-                    self.stats.surrogate_runs += 1
-                self.stats.ga_seconds += pool_result.wall_seconds
-                self.stats.ga_generations += pool_result.ga_generations
+                self.stats.record_ga(
+                    pool_result, self.service.config.ga.iterations
+                )
                 if not future.done():
                     future.set_result(strategy)
             except asyncio.CancelledError:

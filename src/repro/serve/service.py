@@ -158,6 +158,21 @@ class ServiceStats:
         elif result.source == "computed":
             self.computed += 1
 
+    def record_ga(self, result: PoolResult, iterations: int) -> None:
+        """Fold one finished GA run into the counters.
+
+        ``iterations`` is the configured generation budget; what early
+        stopping left of it counts as ``ga_generations_trimmed``.
+        """
+        self.ga_runs += 1
+        if result.surrogate_used:
+            self.surrogate_runs += 1
+        self.ga_seconds += result.wall_seconds
+        self.ga_generations += result.ga_generations
+        self.ga_generations_trimmed += max(
+            0, iterations - result.ga_generations
+        )
+
     def record_shed(self) -> None:
         """Count one request refused by admission control."""
         self.shed += 1
@@ -366,14 +381,7 @@ class StrategyService:
         self.store.put(
             result.fingerprint, strategy, self._config_hash, self._spec_hash
         )
-        self.stats.ga_runs += 1
-        if result.surrogate_used:
-            self.stats.surrogate_runs += 1
-        self.stats.ga_seconds += result.wall_seconds
-        self.stats.ga_generations += result.ga_generations
-        self.stats.ga_generations_trimmed += max(
-            0, self.config.ga.iterations - result.ga_generations
-        )
+        self.stats.record_ga(result, self.config.ga.iterations)
 
     def _finish(
         self,

@@ -70,7 +70,6 @@ class ShardedStrategyStore:
     shards: int = 8
     memory_capacity: int = 256
     hot_slots: int = 512
-    hot_slot_bytes: int = 24_576
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -91,9 +90,7 @@ class ShardedStrategyStore:
             store.root.mkdir(parents=True, exist_ok=True)
         self.hot_tier: SharedMemoryHotTier | None = None
         if self.hot_slots > 0:
-            self.hot_tier = SharedMemoryHotTier(
-                slots=self.hot_slots, slot_bytes=self.hot_slot_bytes
-            )
+            self.hot_tier = SharedMemoryHotTier(slots=self.hot_slots)
         self._hot_lock = threading.Lock()
         self.counters = StoreCounters()
 

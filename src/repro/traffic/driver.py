@@ -71,9 +71,6 @@ class TrafficConfig:
     #: with the cold-start transient excluded, the way the other perf
     #: harnesses treat warmup rounds.
     prewarm: bool = False
-    #: Optimizer-pool worker processes behind the strategy service
-    #: (0/1 = in-process serial, the historical behavior).
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.requests < 1:
@@ -84,8 +81,6 @@ class TrafficConfig:
             raise WorkloadError(f"window must be >= 1: {self.window}")
         if self.verify < 0:
             raise WorkloadError(f"verify must be >= 0: {self.verify}")
-        if self.workers < 0:
-            raise WorkloadError(f"workers must be >= 0: {self.workers}")
 
 
 def build_workload_population(
@@ -351,9 +346,7 @@ def drive_traffic(
             raw = await _drive(gateway, traces, schedule, config.window)
             return raw, gateway
 
-    with StrategyService(
-        config=optimizer_config, store=store, workers=config.workers
-    ) as service:
+    with StrategyService(config=optimizer_config, store=store) as service:
         # Pre-warm fingerprints so the first window is not a
         # canonicalization stampede (memoized on the trace objects).
         for trace in traces:

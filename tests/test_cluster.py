@@ -19,7 +19,6 @@ from repro.cluster import (
 )
 from repro.cluster.cli import main as cluster_main
 from repro.cluster.spec import DeviceOverride, DeviceVariation
-from repro.core.config import OptimizerConfig
 from repro.dvfs.ga import GaConfig
 from repro.errors import ConfigurationError, StrategyError
 from repro.npu.execution import GroundTruthEvaluator
@@ -334,16 +333,6 @@ class TestFaultStory:
 
 
 class TestWiring:
-    def test_optimizer_config_accepts_cluster(self):
-        spec = ClusterSpec(n_devices=2)
-        config = OptimizerConfig().with_cluster(spec)
-        assert config.cluster is spec
-        assert OptimizerConfig().cluster is None
-
-    def test_optimizer_config_rejects_non_cluster(self):
-        with pytest.raises(ConfigurationError):
-            OptimizerConfig(cluster="not a cluster")
-
     def test_cluster_result_render(self, small_cluster, tiny_trace):
         baseline = small_cluster.run_step(tiny_trace)
         report = small_cluster.run_step(tiny_trace).report(baseline)

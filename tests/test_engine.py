@@ -16,12 +16,16 @@ ulp of the absolute clock between the two implementations.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fidelity
+from repro.errors import ConfigurationError
 from repro.npu import (
     FrequencySwitch,
     FrequencyTimeline,
@@ -29,14 +33,7 @@ from repro.npu import (
     NpuDevice,
     default_npu_spec,
 )
-from repro.npu.engine import (
-    CompiledTrace,
-    TraceEngine,
-    _LazySeq,
-    fast_path_enabled,
-    reference_only,
-    set_fast_path_enabled,
-)
+from repro.npu.engine import CompiledTrace, TraceEngine, _LazySeq
 from repro.npu.faults import FaultConfig, FaultInjector, FaultyFrequencyPlan
 from repro.npu.operators import OperatorKind, make_fixed_operator
 from repro.npu.pipelines import Pipe
@@ -176,11 +173,11 @@ def anchored_plans(draw, max_ops: int = 12):
 
 
 def _fresh_pair():
-    """Two devices over one spec: one fast-path, one reference-only."""
+    """Two devices over one spec: one for each ``engine`` tier."""
     spec = default_npu_spec()
     evaluator = GroundTruthEvaluator(spec)
     fast = NpuDevice(spec, evaluator=evaluator)
-    ref = NpuDevice(spec, evaluator=evaluator, engine=False)
+    ref = NpuDevice(spec, evaluator=evaluator)
     return fast, ref
 
 
@@ -198,7 +195,8 @@ def _fresh_pair():
 def test_fast_path_matches_reference_on_timelines(trace, timeline, celsius0):
     fast_dev, ref_dev = _fresh_pair()
     fast = fast_dev.run(trace, timeline, initial_celsius=celsius0)
-    ref = ref_dev.run(trace, timeline, initial_celsius=celsius0)
+    with fidelity.reference("engine"):
+        ref = ref_dev.run(trace, timeline, initial_celsius=celsius0)
     assert fast_dev.fast_path_runs == 1
     assert ref_dev.reference_runs == 1
     assert_results_equivalent(fast, ref)
@@ -214,7 +212,8 @@ def test_fast_path_matches_reference_on_anchored_plans(trace, plan, celsius0):
     fast_dev, ref_dev = _fresh_pair()
     fast = fast_dev.run(trace, plan, initial_celsius=celsius0)
     applied_fast = plan.applied_switch_count
-    ref = ref_dev.run(trace, plan, initial_celsius=celsius0)
+    with fidelity.reference("engine"):
+        ref = ref_dev.run(trace, plan, initial_celsius=celsius0)
     assert plan.applied_switch_count == applied_fast
     assert fast_dev.fast_path_runs == 1
     assert_results_equivalent(fast, ref)
@@ -225,13 +224,16 @@ def test_fast_path_matches_reference_on_anchored_plans(trace, plan, celsius0):
 def test_run_stable_and_iterations_match_reference(trace, freq):
     timeline = FrequencyTimeline.constant(freq)
     fast_dev, ref_dev = _fresh_pair()
+    with fidelity.reference("engine"):
+        ref_stable = ref_dev.run_stable(trace, timeline)
+        ref_iterations = ref_dev.run_iterations(trace, timeline, iterations=3)
+    assert ref_dev.fast_path_runs == 0
     assert_results_equivalent(
-        fast_dev.run_stable(trace, timeline),
-        ref_dev.run_stable(trace, timeline),
+        fast_dev.run_stable(trace, timeline), ref_stable
     )
     for fast, ref in zip(
         fast_dev.run_iterations(trace, timeline, iterations=3),
-        ref_dev.run_iterations(trace, timeline, iterations=3),
+        ref_iterations,
     ):
         assert_results_equivalent(fast, ref)
 
@@ -240,14 +242,18 @@ def test_switch_mid_operator_splits_identically(small_bert_trace):
     """A switch landing strictly inside an operator splits the chunk."""
     fast_dev, ref_dev = _fresh_pair()
     # Find an operator interior on the reference path, then re-run both.
-    probe = ref_dev.run(small_bert_trace, FrequencyTimeline.constant(1800.0))
+    with fidelity.reference("engine"):
+        probe = ref_dev.run(
+            small_bert_trace, FrequencyTimeline.constant(1800.0)
+        )
     record = next(r for r in probe.records if r.duration_us > 2.0)
     mid = (record.start_us + record.end_us) / 2.0
     timeline = FrequencyTimeline(
         1800.0, (FrequencySwitch(time_us=mid, freq_mhz=1000.0),)
     )
     fast = fast_dev.run(small_bert_trace, timeline)
-    ref = ref_dev.run(small_bert_trace, timeline)
+    with fidelity.reference("engine"):
+        ref = ref_dev.run(small_bert_trace, timeline)
     assert_results_equivalent(fast, ref)
     assert any(r.straddled_switch for r in fast.records)
 
@@ -290,28 +296,62 @@ def test_timeline_subclass_is_not_eligible():
     assert not engine.supports(Subclassed(1500.0))
 
 
-def test_reference_only_context_restores_flag(small_bert_trace):
-    device = NpuDevice(default_npu_spec())
-    assert fast_path_enabled()
-    with reference_only():
-        assert not fast_path_enabled()
-        device.run(small_bert_trace, FrequencyTimeline.constant(1800.0))
-    assert fast_path_enabled()
-    assert device.reference_runs == 1
+class _Boom(Exception):
+    pass
 
-    set_fast_path_enabled(False)
-    try:
-        device.run(small_bert_trace, FrequencyTimeline.constant(1800.0))
-        assert device.reference_runs == 2
-    finally:
-        set_fast_path_enabled(True)
+
+def _fast(tier: str) -> bool:
+    return getattr(fidelity.fast, tier)
+
+
+def _check_reference_restores(trace, tier: str, raises: bool) -> None:
+    other = ({"engine", "cold_path"} - {tier}).pop()
+    device = NpuDevice(default_npu_spec())
+    constant = FrequencyTimeline.constant(1800.0)
+    assert _fast(tier) and _fast(other)
+    with pytest.raises(ConfigurationError, match="surrogate"):
+        with fidelity.reference(tier, "surrogate"):
+            pass
+    with pytest.raises(AttributeError):
+        fidelity.fast.surrogate
+    assert _fast(tier)
+    with pytest.raises(_Boom) if raises else contextlib.nullcontext():
+        with fidelity.reference(tier):
+            assert not _fast(tier)
+            assert _fast(other)
+            with fidelity.reference(other):
+                assert not _fast(tier)
+                assert not _fast(other)
+            assert not _fast(tier) and _fast(other)
+            device.run(trace, constant)
+            if raises:
+                raise _Boom
+    assert _fast(tier) and _fast(other)
+    # Only the engine tier routes device runs; the engine stays attached.
+    assert device.reference_runs == (tier == "engine")
+    assert device.engine is not None
+    device.run(trace, constant)
+    assert device.fast_path_runs == 1 + (tier == "cold_path")
+
+
+def test_reference_only_context_restores_flag(small_bert_trace):
+    """``fidelity.reference`` restores both tiers on exit and on raise."""
+    for tier, raises in itertools.product(
+        ("engine", "cold_path"), (False, True)
+    ):
+        _check_reference_restores(small_bert_trace, tier, raises)
 
 
 def test_engine_disabled_per_device(small_bert_trace):
-    device = NpuDevice(default_npu_spec(), engine=False)
-    assert device.engine is None
-    device.run(small_bert_trace, FrequencyTimeline.constant(1800.0))
+    """Under ``reference("engine")`` a device runs the reference loop."""
+    device = NpuDevice(default_npu_spec())
+    constant = FrequencyTimeline.constant(1800.0)
+    with fidelity.reference("engine"):
+        ref = device.run(small_bert_trace, constant)
     assert device.reference_runs == 1
+    assert device.fast_path_runs == 0
+    assert_results_equivalent(device.run(small_bert_trace, constant), ref)
+    assert device.fast_path_runs == 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +363,10 @@ def test_compiled_trace_is_cached_per_trace(small_bert_trace):
     device = NpuDevice(default_npu_spec())
     timeline = FrequencyTimeline.constant(1800.0)
     device.run(small_bert_trace, timeline)
+    compiled = device.engine.compiled(small_bert_trace)
     device.run(small_bert_trace, timeline)
-    engine = device.engine
-    assert engine.stats.compiled_traces == 1
-    assert engine.stats.fast_path_runs == 2
-    compiled = engine.compiled(small_bert_trace)
+    assert device.fast_path_runs == 2
+    assert device.engine.compiled(small_bert_trace) is compiled
     assert isinstance(compiled, CompiledTrace)
     assert compiled.unique_operator_count <= compiled.n_ops
 

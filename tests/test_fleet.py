@@ -9,6 +9,7 @@ the straggler top-k reporting and the CLI.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from repro.cluster import (
     reclaim_slack,
 )
 from repro.cluster.serve import fleet_cached_reclaim, fleet_config_hash
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import ClusterSpec, DeviceOverride
 from repro.errors import ConfigurationError
+from repro.npu.faults import FaultConfig
 from repro.fleet import (
     ChurnConfig,
     FleetSimulator,
@@ -167,6 +169,15 @@ class TestFleetSpec:
     def test_rejects_empty_fleet(self):
         with pytest.raises(ConfigurationError):
             FleetSpec(n_devices=0)
+
+    def test_rejects_fault_overrides_the_fleet_ignores(self):
+        healthy = DeviceOverride(
+            device_id=1, extra_duration_scale=1.2, fault=FaultConfig.none()
+        )
+        FleetSpec(n_devices=4, overrides=(healthy,))
+        faulty = replace(healthy, fault=FaultConfig(setfreq_drop_rate=0.5))
+        with pytest.raises(ConfigurationError, match="device 1"):
+            FleetSpec(n_devices=4, overrides=(faulty,))
 
 
 class TestDurationTable:

@@ -141,6 +141,28 @@ class TestAsyncGateway:
         )
         assert gw_record == serial_record
 
+    def test_miss_counts_trimmed_generations_like_service(self, tmp_path):
+        """One GA-run accounting path: the gateway's counters match the
+        service's commit, early-stopped generations included."""
+        config = OptimizerConfig(
+            ga=GaConfig(population_size=10, iterations=40, seed=0)
+        ).with_patience(2)
+
+        async def run(service):
+            async with AsyncGateway(service) as gateway:
+                await gateway.submit(_trace("trimmed"))
+                return gateway.stats
+
+        with _service(tmp_path, config) as service:
+            stats = asyncio.run(run(service))
+        assert stats.ga_runs == service.stats.ga_runs == 1
+        assert stats.ga_generations == service.stats.ga_generations
+        assert (
+            stats.ga_generations_trimmed
+            == service.stats.ga_generations_trimmed
+            > 0
+        )
+
     def test_coalescing_one_ga_run_many_waiters(self, tmp_path, tiny_config):
         """N concurrent submissions of one cold fingerprint run the GA
         exactly once and all receive the identical strategy."""

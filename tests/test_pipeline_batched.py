@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import batching
+from repro import fidelity
 from repro.core.config import OptimizerConfig
 from repro.core.optimizer import EnergyOptimizer
 from repro.dvfs.ga import GaConfig, run_search
@@ -166,15 +166,9 @@ class TestOnePassProfiling:
     def test_reports_and_readings_match_sequential(self):
         trace = generate("bert", scale=0.02)
 
-        def profile(flagged):
-            batching.set_batched_cold_path(flagged)
-            try:
-                return EnergyOptimizer(OptimizerConfig()).profile(trace)
-            finally:
-                batching.set_batched_cold_path(True)
-
-        batched = profile(True)
-        reference = profile(False)
+        batched = EnergyOptimizer(OptimizerConfig()).profile(trace)
+        with fidelity.reference("cold_path"):
+            reference = EnergyOptimizer(OptimizerConfig()).profile(trace)
         assert batched.grid is not None
         assert reference.grid is None
         assert len(batched.reports) == len(reference.reports)
@@ -259,11 +253,8 @@ class TestOnePassProfiling:
 
 class TestGroupedScorer:
     def test_tables_bitwise_vs_per_stage_loop(self, pipeline):
-        batching.set_batched_cold_path(False)
-        try:
+        with fidelity.reference("cold_path"):
             reference = _scorer(pipeline)
-        finally:
-            batching.set_batched_cold_path(True)
         grouped = _scorer(pipeline)
         for attr in (
             "_stage_time",
@@ -276,11 +267,8 @@ class TestGroupedScorer:
         assert reference.baseline_time_us == grouped.baseline_time_us
 
     def test_population_scores_identical(self, pipeline):
-        batching.set_batched_cold_path(False)
-        try:
+        with fidelity.reference("cold_path"):
             reference = _scorer(pipeline)
-        finally:
-            batching.set_batched_cold_path(True)
         grouped = _scorer(pipeline)
         rng = np.random.default_rng(123)
         population = rng.integers(
@@ -329,21 +317,13 @@ class TestEndToEndByteIdentity:
     def test_optimize_batched_vs_reference(self, seed):
         trace = generate("gpt3", scale=0.02)
 
-        def run(flagged):
-            batching.set_batched_cold_path(flagged)
-            try:
-                config = OptimizerConfig(
-                    ga=GaConfig(
-                        population_size=48, iterations=16, seed=seed
-                    ),
-                    seed=seed,
-                )
-                return EnergyOptimizer(config).optimize(trace)
-            finally:
-                batching.set_batched_cold_path(True)
-
-        batched = run(True)
-        reference = run(False)
+        config = OptimizerConfig(
+            ga=GaConfig(population_size=48, iterations=16, seed=seed),
+            seed=seed,
+        )
+        batched = EnergyOptimizer(config).optimize(trace)
+        with fidelity.reference("cold_path"):
+            reference = EnergyOptimizer(config).optimize(trace)
         assert (
             batched.search.best_genes.tobytes()
             == reference.search.best_genes.tobytes()

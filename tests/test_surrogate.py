@@ -5,7 +5,7 @@ surrogate may shape *where* the GA looks, but every score that leaves
 :func:`run_search` — and the returned strategy in particular — comes from
 the analytical Eq. (17) oracle.  Alongside that bitwise guarantee the
 suite pins the oracle-evaluation accounting, the holdout-R^2 fallback,
-the process-global kill switch, and the serving/fingerprint plumbing.
+and the serving/fingerprint plumbing.
 """
 
 from __future__ import annotations
@@ -15,17 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fidelity
 from repro.core.config import OptimizerConfig
 from repro.core.optimizer import EnergyOptimizer
 from repro.dvfs.ga import GaConfig, run_search
 from repro.dvfs.scoring import StrategyScorer
-from repro.dvfs.surrogate import (
-    SurrogateConfig,
-    exact_search_only,
-    fit_surrogate,
-    set_surrogate_search_allowed,
-    surrogate_search_allowed,
-)
+from repro.dvfs.surrogate import SurrogateConfig, fit_surrogate
 from repro.errors import StrategyError
 from repro.workloads import generate
 
@@ -107,7 +102,7 @@ class TestSurrogateConfig:
 
         config = OptimizerConfig().with_surrogate()
         before = config_fingerprint(config)
-        with exact_search_only():
+        with fidelity.reference("engine", "cold_path"):
             assert config_fingerprint(config) == before
 
 
@@ -193,31 +188,6 @@ class TestGateFallback:
         assert model is not None
         assert model.holdout_r2 >= SURROGATE.r2_floor
         assert model.stage_count == scorer.stage_count
-
-
-class TestKillSwitch:
-    def test_context_manager_forces_exact(self, gpt3):
-        config, candidates, scorer = gpt3
-        freqs = config.npu.frequencies.points
-        exact = run_search(scorer, candidates.stages, freqs, GA)
-        assert surrogate_search_allowed() is True
-        with exact_search_only():
-            assert surrogate_search_allowed() is False
-            forced = run_search(
-                scorer, candidates.stages, freqs, GA, surrogate=ALWAYS_PASS
-            )
-        assert surrogate_search_allowed() is True
-        assert forced.surrogate_used is False
-        assert forced.best_genes.tobytes() == exact.best_genes.tobytes()
-        assert forced.evaluations == exact.evaluations
-
-    def test_setter_round_trip(self):
-        set_surrogate_search_allowed(False)
-        try:
-            assert surrogate_search_allowed() is False
-        finally:
-            set_surrogate_search_allowed(True)
-        assert surrogate_search_allowed() is True
 
 
 class TestEvaluationAccounting:
