@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -38,6 +39,7 @@ from repro.dvfs.preprocessing import (
 from repro.dvfs.scoring import StrategyScorer
 from repro.dvfs.strategy import DvfsStrategy, strategy_from_genes
 from repro.npu.device import NpuDevice
+from repro.npu.execution import GroundTruthEvaluator
 from repro.npu.faults import (
     FaultInjector,
     FaultyCannStyleProfiler,
@@ -54,7 +56,12 @@ from repro.perf.model import (
     build_performance_model_batched,
     patch_missing_operators,
 )
-from repro.power.calibration import CalibrationConstants, run_offline_calibration
+from repro.power.calibration import (
+    CalibrationConstants,
+    CalibrationObservation,
+    measure_calibration,
+    observe_calibration,
+)
 from repro.power.optable import (
     OperatorPowerTable,
     build_operator_power_table,
@@ -77,6 +84,16 @@ def _calibration_loads() -> tuple[Trace, tuple[Trace, Trace]]:
         micro.matmul_loop(repeats=40),
         micro.gelu_loop(repeats=40),
     )
+
+
+#: Calibration observations kept per process (one per distinct spec).
+_OBSERVATION_LIMIT = 8
+
+#: Process-wide calibration observations keyed by ``repr`` of the spec.
+#: ``repr`` covers every spec field recursively, as the compiled-trace
+#: cache's key does, so equal keys imply bit-identical observations.
+_OBSERVATIONS: dict[str, CalibrationObservation] = {}
+_OBSERVATIONS_LOCK = threading.Lock()
 
 
 class ProfilingBundle:
@@ -210,13 +227,44 @@ class EnergyOptimizer:
         return self._profiler
 
     def calibrate(self) -> CalibrationConstants:
-        """Run (or reuse) the offline Fig. 11 calibration for this device."""
+        """Run (or reuse) the offline Fig. 11 calibration for this device.
+
+        The device runs are observed once per accelerator model and shared
+        (see :meth:`_observe_calibration`); this optimizer's telemetry then
+        reads them with its own sensor noise, exactly as a fresh
+        calibration would.
+        """
         if self._calibration is None:
-            test_load, k_loads = _calibration_loads()
-            self._calibration = run_offline_calibration(
-                self._device, self._telemetry, test_load, k_loads
+            self._calibration = measure_calibration(
+                self._observe_calibration(), self._telemetry
             )
         return self._calibration
+
+    def _observe_calibration(self) -> CalibrationObservation:
+        """The noise-free calibration runs, shared across optimizers.
+
+        Shared only for a plain :class:`GroundTruthEvaluator` (a wrapped
+        one is not captured by the spec key) and only on the ``engine``
+        fidelity tier, so reference A/B runs still observe through the
+        reference loop.  Two threads missing together each compute an
+        equal observation; the later one is kept.
+        """
+        test_load, k_loads = _calibration_loads()
+        device = self._device
+        if not (
+            fidelity.fast.engine
+            and type(device.evaluator) is GroundTruthEvaluator
+        ):
+            return observe_calibration(device, test_load, k_loads)
+        key = repr(device.npu)
+        observation = _OBSERVATIONS.get(key)
+        if observation is None:
+            observation = observe_calibration(device, test_load, k_loads)
+            with _OBSERVATIONS_LOCK:
+                while len(_OBSERVATIONS) >= _OBSERVATION_LIMIT:
+                    _OBSERVATIONS.pop(next(iter(_OBSERVATIONS)))
+                _OBSERVATIONS[key] = observation
+        return observation
 
     def use_calibration(self, constants: CalibrationConstants) -> None:
         """Inject precomputed offline constants (skips recalibration)."""

@@ -32,6 +32,7 @@ from repro.dvfs.executor import DvfsExecutor, ExecutionOutcome
 from repro.dvfs.strategy import DvfsStrategy
 from repro.errors import ConfigurationError, SetFreqTimeoutError
 from repro.npu.device import ExecutionResult, NpuDevice
+from repro.npu.engine import peak_chunk_celsius, start_freqs
 from repro.npu.faults import FaultConfig, FaultInjector, FaultyFrequencyPlan
 from repro.npu.setfreq import (
     AnchoredFrequencyPlan,
@@ -630,16 +631,17 @@ class GuardedDvfsExecutor:
             # Changes legitimately land late on slow controllers; anchor
             # starts are not expected to match (Fig. 18 semantics).
             return
-        for op_index, freq in strategy.anchored_switches():
-            record = result.records[op_index]
-            if abs(record.start_freq_mhz - freq) > _FREQ_MATCH_TOLERANCE_MHZ:
+        anchors = strategy.anchored_switches()
+        started = start_freqs(result, [op_index for op_index, _ in anchors])
+        for (op_index, freq), start_freq in zip(anchors, started):
+            if abs(start_freq - freq) > _FREQ_MATCH_TOLERANCE_MHZ:
                 self._log.record(
                     "anchor_mismatch",
-                    time_us=record.start_us,
+                    time_us=result.records[op_index].start_us,
                     op_index=op_index,
                     detail=(
                         f"planned {freq:.0f} MHz, ran at "
-                        f"{record.start_freq_mhz:.0f} MHz"
+                        f"{start_freq:.0f} MHz"
                     ),
                 )
 
@@ -653,7 +655,7 @@ class GuardedDvfsExecutor:
         run at high ambient heats slowly (RC time constant of tens of
         seconds) but *will* reach equilibrium under sustained traffic.
         """
-        peak = max(chunk.celsius for chunk in result.chunks)
+        peak = peak_chunk_celsius(result)
         equilibrium = device.npu.thermal.equilibrium_celsius(
             result.soc_avg_watts
         )

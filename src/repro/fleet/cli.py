@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--sharded-workers",
         type=int,
-        nargs="*",
+        nargs="+",
         default=[1, 2, 4],
         metavar="W",
         help="worker counts measured in the sharded section",

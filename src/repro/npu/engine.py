@@ -109,12 +109,19 @@ class _LazySeq(Sequence):
     iteration and slicing materialise once and cache the tuple.
     """
 
-    __slots__ = ("_size", "_make", "_items")
+    __slots__ = ("_size", "_make", "_items", "source")
 
-    def __init__(self, size: int, make: Callable[[int], object]) -> None:
+    def __init__(
+        self,
+        size: int,
+        make: Callable[[int], object],
+        source: object = None,
+    ) -> None:
         self._size = size
         self._make = make
         self._items: tuple | None = None
+        #: The column store the items are built from, when there is one.
+        self.source = source
 
     def _materialise(self) -> tuple:
         if self._items is None:
@@ -817,7 +824,7 @@ class _ChunkArrays:
         )
 
     def lazy(self) -> _LazySeq:
-        return _LazySeq(len(self.start), self.chunk)
+        return _LazySeq(len(self.start), self.chunk, self)
 
 
 class _RecordArrays:
@@ -848,7 +855,35 @@ class _RecordArrays:
         )
 
     def lazy(self) -> _LazySeq:
-        return _LazySeq(len(self.start), self.record)
+        return _LazySeq(len(self.start), self.record, self)
+
+
+def peak_chunk_celsius(result: ExecutionResult) -> float:
+    """The hottest chunk-start temperature of a run.
+
+    Reads the celsius column of a column-backed engine result without
+    building chunk objects; any other result walks its chunks.
+    """
+    source = getattr(result.chunks, "source", None)
+    if isinstance(source, _ChunkArrays):
+        return float(np.max(source.celsius))
+    return max(chunk.celsius for chunk in result.chunks)
+
+
+def start_freqs(
+    result: ExecutionResult, op_indices: Sequence[int]
+) -> list[float]:
+    """Frequency each listed operator started at.
+
+    Reads the start-frequency column of a column-backed engine result
+    without building records; any other result reads its records.
+    """
+    source = getattr(result.records, "source", None)
+    if isinstance(source, _RecordArrays):
+        f0 = source.f0
+        return [float(f0[i]) for i in op_indices]
+    records = result.records
+    return [records[i].start_freq_mhz for i in op_indices]
 
 
 class TraceEngine:

@@ -36,12 +36,11 @@ Fault models:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import FaultInjectionError, TelemetryError
-from repro.npu.device import ExecutionResult, PowerChunk
+from repro.npu.device import ExecutionResult
 from repro.npu.profiler import CannStyleProfiler, ProfileReport
 from repro.npu.setfreq import (
     AnchoredFrequencyPlan,
@@ -51,8 +50,8 @@ from repro.npu.setfreq import (
 from repro.npu.spec import NpuSpec
 from repro.npu.telemetry import (
     PowerMeasurement,
-    PowerSample,
     PowerTelemetry,
+    SampleRows,
 )
 
 _RATE_FIELDS = (
@@ -484,9 +483,11 @@ class FaultyPowerTelemetry(PowerTelemetry):
     """Power telemetry with injected sensor faults.
 
     Per-sample faults (dropout, stuck-at-last-value, spike) corrupt
-    :meth:`sample_chunks`; aggregate measurements and per-operator power
-    readings suffer transient spikes (a meter integrating over a window
-    averages dropouts away, but a spike biases the whole window).
+    :meth:`read_rows`; aggregate readings (:meth:`read`) and
+    per-operator power readings suffer transient spikes (a meter
+    integrating over a window averages dropouts away, but a spike biases
+    the whole window).  The chunk- and result-level entry points route
+    through these, so each reading is corrupted once.
     """
 
     def __init__(
@@ -507,52 +508,49 @@ class FaultyPowerTelemetry(PowerTelemetry):
         """The fault source this instrument draws from."""
         return self._injector
 
-    def sample_chunks(
-        self, chunks: Sequence[PowerChunk], interval_us: float = 1000.0
-    ) -> list[PowerSample]:
+    def read_rows(self, rows: SampleRows) -> SampleRows:
         """Sample with injected dropouts, stuck sensors, and spikes.
 
         Raises:
             TelemetryError: if every sample of the window was dropped.
         """
-        samples = super().sample_chunks(chunks, interval_us)
-        kept: list[PowerSample] = []
-        last: PowerSample | None = None
-        for sample in samples:
-            fault = self._injector.telemetry_fault(sample.time_us)
+        noisy = super().read_rows(rows)
+        times: list[float] = []
+        soc: list[float] = []
+        aicore: list[float] = []
+        celsius: list[float] = []
+        for t, s, a, c in zip(
+            noisy.time_us,
+            noisy.soc_watts.tolist(),
+            noisy.aicore_watts.tolist(),
+            noisy.celsius.tolist(),
+        ):
+            fault = self._injector.telemetry_fault(t)
             if fault == "dropout":
                 continue
-            if fault == "stuck" and last is not None:
-                sample = PowerSample(
-                    time_us=sample.time_us,
-                    soc_watts=last.soc_watts,
-                    aicore_watts=last.aicore_watts,
-                    celsius=last.celsius,
-                )
+            if fault == "stuck" and times:
+                s, a, c = soc[-1], aicore[-1], celsius[-1]
             elif fault == "spike":
                 factor = self._injector.spike_factor()
-                sample = replace(
-                    sample,
-                    soc_watts=sample.soc_watts * factor,
-                    aicore_watts=sample.aicore_watts * factor,
-                )
-            kept.append(sample)
-            last = sample
-        if not kept:
+                s, a = s * factor, a * factor
+            times.append(t)
+            soc.append(s)
+            aicore.append(a)
+            celsius.append(c)
+        if not times:
             raise TelemetryError(
                 "every telemetry sample of the window was dropped"
             )
-        return kept
+        return SampleRows(
+            time_us=tuple(times),
+            soc_watts=np.array(soc),
+            aicore_watts=np.array(aicore),
+            celsius=np.array(celsius),
+        )
 
-    def measure(self, result: ExecutionResult) -> PowerMeasurement:
+    def read(self, truth: PowerMeasurement) -> PowerMeasurement:
         """Aggregate measurement, possibly hit by a transient spike."""
-        return self._spiked(super().measure(result))
-
-    def measure_chunks(
-        self, chunks: Sequence[PowerChunk]
-    ) -> PowerMeasurement:
-        """Aggregate chunk measurement, possibly hit by a spike."""
-        return self._spiked(super().measure_chunks(chunks))
+        return self._spiked(super().read(truth))
 
     def measure_operator_power(
         self, result: ExecutionResult

@@ -10,6 +10,7 @@ run, cooldown decay traces).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +41,138 @@ class PowerMeasurement:
     avg_celsius: float
 
 
+def _column(values) -> np.ndarray:
+    """A read-only float column: observations are shared between readers."""
+    column = np.array(values, dtype=float)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class WindowColumns:
+    """Noise-free per-chunk columns of one aggregate-measurement window."""
+
+    #: First chunk start to last chunk end.
+    span_us: float
+    duration_us: np.ndarray
+    soc_watts: np.ndarray
+    aicore_watts: np.ndarray
+    celsius: np.ndarray
+
+    @classmethod
+    def of(cls, chunks: Sequence[PowerChunk]) -> "WindowColumns":
+        """The columns a meter integrates over ``chunks``."""
+        if not chunks:
+            raise ProfilingError("no power chunks to measure")
+        return cls(
+            span_us=chunks[-1].end_us - chunks[0].start_us,
+            duration_us=_column([c.duration_us for c in chunks]),
+            soc_watts=_column([c.soc_watts for c in chunks]),
+            aicore_watts=_column([c.aicore_watts for c in chunks]),
+            celsius=_column([c.celsius for c in chunks]),
+        )
+
+    @cached_property
+    def averages(self) -> PowerMeasurement:
+        """Noise-free energy-weighted averages over the window.
+
+        Computed once per window, so a shared window is averaged once.
+        """
+        weights = self.duration_us
+        return PowerMeasurement(
+            duration_us=self.span_us,
+            soc_avg_watts=float(np.average(self.soc_watts, weights=weights)),
+            aicore_avg_watts=float(
+                np.average(self.aicore_watts, weights=weights)
+            ),
+            avg_celsius=float(np.average(self.celsius, weights=weights)),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SampleRows:
+    """Sensor rows at each sampling time, as columns.
+
+    :meth:`of` takes the noise-free rows under the sensor;
+    :meth:`PowerTelemetry.read_rows` returns the noisy rows it reads.
+    """
+
+    time_us: tuple[float, ...]
+    soc_watts: np.ndarray
+    aicore_watts: np.ndarray
+    celsius: np.ndarray
+
+    @classmethod
+    def of(
+        cls, chunks: Sequence[PowerChunk], interval_us: float
+    ) -> "SampleRows":
+        """The chunk under the sensor every ``interval_us``."""
+        if not chunks:
+            raise ProfilingError("no power chunks to sample")
+        if interval_us <= 0:
+            raise ProfilingError(f"interval must be positive: {interval_us}")
+        times: list[float] = []
+        sources: list[PowerChunk] = []
+        chunk_iter = iter(chunks)
+        current = next(chunk_iter)
+        t = chunks[0].start_us
+        end = chunks[-1].end_us
+        while t < end:
+            while current.end_us <= t:
+                current = next(chunk_iter)
+            times.append(t)
+            sources.append(current)
+            t += interval_us
+        return cls(
+            time_us=tuple(times),
+            soc_watts=_column([c.soc_watts for c in sources]),
+            aicore_watts=_column([c.aicore_watts for c in sources]),
+            celsius=_column([c.celsius for c in sources]),
+        )
+
+    def samples(self) -> list[PowerSample]:
+        """One :class:`PowerSample` per row."""
+        # Frozen-dataclass __init__ pays object.__setattr__ per field;
+        # installing the instance dict directly builds identical samples.
+        new_sample = PowerSample.__new__
+        set_dict = object.__setattr__
+        samples: list[PowerSample] = []
+        for t, s, a, c in zip(
+            self.time_us,
+            self.soc_watts.tolist(),
+            self.aicore_watts.tolist(),
+            self.celsius.tolist(),
+        ):
+            sample = new_sample(PowerSample)
+            set_dict(
+                sample,
+                "__dict__",
+                {"time_us": t, "soc_watts": s, "aicore_watts": a, "celsius": c},
+            )
+            samples.append(sample)
+        return samples
+
+
+def true_measurement(result: ExecutionResult) -> PowerMeasurement:
+    """Noise-free aggregate measurement of a full execution."""
+    weights = np.array([c.duration_us for c in result.chunks])
+    temps = np.array([c.celsius for c in result.chunks])
+    return PowerMeasurement(
+        duration_us=result.duration_us,
+        soc_avg_watts=result.soc_avg_watts,
+        aicore_avg_watts=result.aicore_avg_watts,
+        avg_celsius=float(np.average(temps, weights=weights)),
+    )
+
+
 class PowerTelemetry:
-    """Samples and aggregates power data with sensor noise."""
+    """Samples and aggregates power data with sensor noise.
+
+    Each reading kind has one noise path over noise-free columns
+    (:meth:`read_rows`, :meth:`read`); the chunk- and result-level
+    entry points only build those columns.  Subclasses that corrupt
+    readings override the column-level methods.
+    """
 
     def __init__(self, npu: NpuSpec, rng: np.random.Generator) -> None:
         self._npu = npu
@@ -56,23 +187,11 @@ class PowerTelemetry:
         self, chunks: Sequence[PowerChunk], interval_us: float = 1000.0
     ) -> list[PowerSample]:
         """Read sensors every ``interval_us`` across a chunk sequence."""
-        if not chunks:
-            raise ProfilingError("no power chunks to sample")
-        if interval_us <= 0:
-            raise ProfilingError(f"interval must be positive: {interval_us}")
+        return self.read_rows(SampleRows.of(chunks, interval_us)).samples()
+
+    def read_rows(self, rows: SampleRows) -> SampleRows:
+        """Noisy readings of noise-free sensor rows."""
         noise = self._npu.noise
-        times: list[float] = []
-        sources: list[PowerChunk] = []
-        chunk_iter = iter(chunks)
-        current = next(chunk_iter)
-        t = chunks[0].start_us
-        end = chunks[-1].end_us
-        while t < end:
-            while current.end_us <= t:
-                current = next(chunk_iter)
-            times.append(t)
-            sources.append(current)
-            t += interval_us
         # One draw replaces the per-sample scalar normals: the stream is
         # consumed in the same (soc, aicore, celsius) order, skipping the
         # terms whose sigma is zero, so values and the final generator
@@ -82,33 +201,21 @@ class PowerTelemetry:
         sigmas = [noise.power_sigma] * (2 * power_on) + [
             noise.temperature_sigma_celsius
         ] * celsius_on
-        n = len(times)
+        n = len(rows.time_us)
         draws = self._rng.normal(0.0, np.tile(sigmas, n)).reshape(
             n, len(sigmas)
         )
-        soc = np.array([c.soc_watts for c in sources])
-        aicore = np.array([c.aicore_watts for c in sources])
-        celsius = np.array([c.celsius for c in sources])
+        soc = rows.soc_watts
+        aicore = rows.aicore_watts
         if power_on:
             soc = soc * np.maximum(0.5, 1.0 + draws[:, 0])
             aicore = aicore * np.maximum(0.5, 1.0 + draws[:, 1])
-        celsius = celsius + (draws[:, -1] if celsius_on else 0.0)
-        # Frozen-dataclass __init__ pays object.__setattr__ per field;
-        # installing the instance dict directly builds identical samples.
-        new_sample = PowerSample.__new__
-        set_dict = object.__setattr__
-        samples: list[PowerSample] = []
-        for t, s, a, c in zip(
-            times, soc.tolist(), aicore.tolist(), celsius.tolist()
-        ):
-            sample = new_sample(PowerSample)
-            set_dict(
-                sample,
-                "__dict__",
-                {"time_us": t, "soc_watts": s, "aicore_watts": a, "celsius": c},
-            )
-            samples.append(sample)
-        return samples
+        return SampleRows(
+            time_us=rows.time_us,
+            soc_watts=soc,
+            aicore_watts=aicore,
+            celsius=rows.celsius + (draws[:, -1] if celsius_on else 0.0),
+        )
 
     def measure(self, result: ExecutionResult) -> PowerMeasurement:
         """Noisy aggregate measurement of a full execution.
@@ -116,36 +223,26 @@ class PowerTelemetry:
         Averages are energy-weighted (true averages) with one multiplicative
         sensor error applied, matching how a power meter integrates.
         """
-        noise = self._npu.noise
-        weights = np.array([c.duration_us for c in result.chunks])
-        temps = np.array([c.celsius for c in result.chunks])
-        avg_celsius = float(np.average(temps, weights=weights))
-        return PowerMeasurement(
-            duration_us=result.duration_us,
-            soc_avg_watts=self._noisy(result.soc_avg_watts, noise.power_sigma),
-            aicore_avg_watts=self._noisy(
-                result.aicore_avg_watts, noise.power_sigma
-            ),
-            avg_celsius=avg_celsius,
-        )
+        return self.read(true_measurement(result))
 
     def measure_chunks(self, chunks: Sequence[PowerChunk]) -> PowerMeasurement:
         """Noisy aggregate measurement over an arbitrary chunk sequence."""
-        if not chunks:
-            raise ProfilingError("no power chunks to measure")
+        return self.read(WindowColumns.of(chunks).averages)
+
+    def read(self, truth: PowerMeasurement) -> PowerMeasurement:
+        """Noisy reading of a noise-free aggregate measurement.
+
+        Draws the SoC then the AICore error; duration and temperature
+        are read exactly.
+        """
         noise = self._npu.noise
-        duration = chunks[-1].end_us - chunks[0].start_us
-        weights = np.array([c.duration_us for c in chunks])
-        soc = float(np.average([c.soc_watts for c in chunks], weights=weights))
-        aicore = float(
-            np.average([c.aicore_watts for c in chunks], weights=weights)
-        )
-        celsius = float(np.average([c.celsius for c in chunks], weights=weights))
         return PowerMeasurement(
-            duration_us=duration,
-            soc_avg_watts=self._noisy(soc, noise.power_sigma),
-            aicore_avg_watts=self._noisy(aicore, noise.power_sigma),
-            avg_celsius=celsius,
+            duration_us=truth.duration_us,
+            soc_avg_watts=self._noisy(truth.soc_avg_watts, noise.power_sigma),
+            aicore_avg_watts=self._noisy(
+                truth.aicore_avg_watts, noise.power_sigma
+            ),
+            avg_celsius=truth.avg_celsius,
         )
 
     def energy_joules(self, result: ExecutionResult) -> tuple[float, float]:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from repro.errors import FittingError
 
@@ -133,6 +132,10 @@ def fit_func1(
     freqs_mhz: Sequence[float], times_us: Sequence[float]
 ) -> PerformanceFit:
     """Fit Func. 1 with ``scipy.optimize.curve_fit`` (as in the paper)."""
+    # Imported here: scipy.optimize is most of the package's import time,
+    # and only the Func. 1/3 reference fits need it.
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     f, t = _validate_samples(freqs_mhz, times_us, needed=3)
 
     def model(freq, a, b, c):
@@ -152,6 +155,8 @@ def fit_func3(
     freqs_mhz: Sequence[float], times_us: Sequence[float]
 ) -> PerformanceFit:
     """Fit Func. 3 with ``b`` bounded to ``[0, 10]`` (Sect. 7.2's caveat)."""
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     f, t = _validate_samples(freqs_mhz, times_us, needed=3)
 
     def model(freq, a, b, c):

@@ -8,11 +8,14 @@ the iterative temperature-rise solver used at prediction time.
 
 from repro.power.calibration import (
     CalibrationConstants,
+    CalibrationObservation,
     CooldownObservation,
     IdlePowerFit,
     calibrate_idle_power,
     extract_gamma,
     extract_temperature_slope,
+    measure_calibration,
+    observe_calibration,
     run_offline_calibration,
 )
 from repro.power.evaluation import (
@@ -37,6 +40,7 @@ from repro.power.optable import (
 
 __all__ = [
     "CalibrationConstants",
+    "CalibrationObservation",
     "CooldownObservation",
     "IdlePowerFit",
     "LoadPowerModel",
@@ -52,7 +56,9 @@ __all__ = [
     "extract_gamma",
     "extract_temperature_slope",
     "fit_load_power_model",
+    "measure_calibration",
     "measure_load_at_frequencies",
+    "observe_calibration",
     "run_offline_calibration",
     "solve_alpha",
     "validate_power_model",

@@ -640,6 +640,16 @@ class TestCli:
         assert exit_code == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_bench_rejects_empty_sharded_workers(self, capsys):
+        # An empty list would measure no sharded row, then either crash
+        # sizing the scale run or report byte identity over zero rows.
+        with pytest.raises(SystemExit) as exc:
+            fleet_main(
+                ["bench", "gpt3", "--devices", "16", "--sharded-workers"]
+            )
+        assert exc.value.code == 2
+        assert "--sharded-workers" in capsys.readouterr().err
+
     def test_unknown_workload_fails_cleanly(self, capsys):
         exit_code = fleet_main(["run", "nonsense", "--devices", "2"])
         assert exit_code == 1
